@@ -7,8 +7,6 @@
 
 #include <cstdio>
 
-#include "algos/kclique.h"
-#include "algos/subgraph_matching.h"
 #include "bench/bench_common.h"
 
 namespace {

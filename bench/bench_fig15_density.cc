@@ -3,7 +3,6 @@
 // should grow approximately linearly with density.
 #include <benchmark/benchmark.h>
 
-#include "algos/kclique.h"
 #include "bench/bench_common.h"
 #include "graph/generators.h"
 

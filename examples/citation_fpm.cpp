@@ -3,8 +3,9 @@
 // support threshold, then prints the surviving pattern table.
 #include <cstdio>
 
-#include "algos/fpm.h"
+#include "core/compiled_engine.h"
 #include "core/gamma.h"
+#include "core/pattern_compiler.h"
 #include "graph/datasets.h"
 #include "gpusim/device.h"
 
@@ -28,8 +29,10 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  auto result = algos::MineFrequentPatterns(
-      &engine, {.max_edges = 3, .min_support = min_support});
+  auto plan = core::PatternCompiler(&g).CompileFpm(/*max_edges=*/3,
+                                                   min_support);
+  if (!plan.ok()) return 1;
+  auto result = core::CompiledEngine(&engine).Run(plan.value());
   if (!result.ok()) {
     std::fprintf(stderr, "FPM: %s\n", result.status().ToString().c_str());
     return 1;

@@ -8,8 +8,8 @@
 //   gamma_cli --dataset ER --task fpm --minsup 300 --strategy naive
 //   gamma_cli --graph my_edges.txt --task motif --k 3
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -19,10 +19,6 @@
 #include <utility>
 #include <vector>
 
-#include "algos/fpm.h"
-#include "algos/kclique.h"
-#include "algos/motif.h"
-#include "algos/subgraph_matching.h"
 #include "baselines/presets.h"
 #include "core/compiled_engine.h"
 #include "core/gamma.h"
@@ -175,10 +171,27 @@ void Usage() {
 }
 
 bool Parse(int argc, char** argv, CliOptions* o) {
-  for (int i = 1; i < argc; ++i) {
+  bool value_ok = true;
+  for (int i = 1; i < argc && value_ok; ++i) {
     std::string a = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
+    auto reject = [&]() {
+      std::fprintf(stderr, "%s: missing or malformed value\n", a.c_str());
+      value_ok = false;
+    };
+    // The flag's value; a missing one fails the parse.
+    auto next = [&]() -> std::string {
+      if (i + 1 < argc) return argv[++i];
+      reject();
+      return "";
+    };
+    // A numeric value: the whole token must parse, so `--k abc` is an
+    // error rather than 0.
+    auto number = [&](auto* out) {
+      const std::string v = next();
+      if (!value_ok) return;
+      const auto [end, ec] =
+          std::from_chars(v.data(), v.data() + v.size(), *out);
+      if (ec != std::errc() || end != v.data() + v.size()) reject();
     };
     if (a == "--dataset") {
       o->dataset = next();
@@ -188,9 +201,9 @@ bool Parse(int argc, char** argv, CliOptions* o) {
       o->task = next();
       o->task_set = true;
     } else if (a == "--k") {
-      o->k = std::atoi(next());
+      number(&o->k);
     } else if (a == "--query") {
-      o->query = std::atoi(next());
+      number(&o->query);
     } else if (a == "--pattern") {
       o->pattern_text = next();
     } else if (a == "--pattern-preset") {
@@ -213,9 +226,9 @@ bool Parse(int argc, char** argv, CliOptions* o) {
     } else if (a == "--explain-analyze") {
       o->explain_analyze = true;
     } else if (a == "--fpm-edges") {
-      o->fpm_edges = std::atoi(next());
+      number(&o->fpm_edges);
     } else if (a == "--minsup") {
-      o->minsup = std::strtoull(next(), nullptr, 10);
+      number(&o->minsup);
     } else if (a == "--placement") {
       o->placement = next();
     } else if (a == "--strategy") {
@@ -223,17 +236,17 @@ bool Parse(int argc, char** argv, CliOptions* o) {
     } else if (a == "--no-premerge") {
       o->pre_merge = false;
     } else if (a == "--streams") {
-      o->streams = std::strtoull(next(), nullptr, 10);
+      number(&o->streams);
     } else if (a == "--extension-chunk-rows") {
-      o->extension_chunk_rows = std::strtoull(next(), nullptr, 10);
+      number(&o->extension_chunk_rows);
     } else if (a == "--symmetric") {
       o->symmetric = true;
     } else if (a == "--device-mb") {
-      o->device_mb = std::strtoull(next(), nullptr, 10);
+      number(&o->device_mb);
     } else if (a == "--warps") {
-      o->warps = std::atoi(next());
+      number(&o->warps);
     } else if (a == "--host-threads") {
-      o->host_threads = std::atoi(next());
+      number(&o->host_threads);
       if (o->host_threads < 1) {
         std::fprintf(stderr, "--host-threads wants N >= 1\n");
         return false;
@@ -249,11 +262,11 @@ bool Parse(int argc, char** argv, CliOptions* o) {
     } else if (a == "--critpath-out") {
       o->critpath_out = next();
     } else if (a == "--trace-capacity") {
-      o->trace_capacity = std::strtoull(next(), nullptr, 10);
+      number(&o->trace_capacity);
     } else if (a == "--metrics-out") {
       o->metrics_out = next();
     } else if (a == "--metrics-interval") {
-      o->metrics_interval = std::strtod(next(), nullptr);
+      number(&o->metrics_interval);
     } else if (a == "--adaptivity-out") {
       o->adaptivity_out = next();
     } else if (a == "--check") {
@@ -272,6 +285,10 @@ bool Parse(int argc, char** argv, CliOptions* o) {
       Usage();
       return false;
     }
+  }
+  if (!value_ok) {
+    Usage();
+    return false;
   }
   // A user-supplied pattern is a subgraph-matching query unless a task
   // was named explicitly.
@@ -324,8 +341,7 @@ bool WritePlan(const std::string& path, const core::CompiledPlan& plan) {
   return true;
 }
 
-// Compiles the plan the chosen task would run — the same preset entry
-// points the run path drives — without executing it (--explain).
+// Compiles the plan the chosen task runs (and --explain prints).
 Result<core::CompiledPlan> CompileTaskPlan(const CliOptions& o,
                                            const graph::Graph& g) {
   core::PatternCompiler compiler(&g);
@@ -564,18 +580,20 @@ int main(int argc, char** argv) {
 
   if (o.verify_plan) return VerifyPlanFile(o, g);
 
+  // Every task runs the same way: compile its plan, then interpret it on
+  // the compiled engine. Invalid parameters or patterns fail here, before
+  // any device work.
+  auto compiled = CompileTaskPlan(o, g);
+  if (!compiled.ok()) {
+    std::fprintf(stderr, "%s: %s\n", o.task.c_str(),
+                 compiled.status().ToString().c_str());
+    return 2;
+  }
+  const core::CompiledPlan& plan = compiled.value();
   if (o.explain) {
-    // Plan only — compile the task's plan and print it without running.
-    auto plan = CompileTaskPlan(o, g);
-    if (!plan.ok()) {
-      std::fprintf(stderr, "explain: %s\n",
-                   plan.status().ToString().c_str());
-      return 2;
-    }
-    PrintExplain(plan.value());
-    if (!o.plan_out.empty() && !WritePlan(o.plan_out, plan.value())) {
-      return 1;
-    }
+    // Plan only — print the compiled plan without running it.
+    PrintExplain(plan);
+    if (!o.plan_out.empty() && !WritePlan(o.plan_out, plan)) return 1;
     return 0;
   }
 
@@ -619,99 +637,41 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  auto run = core::CompiledEngine(engine.get()).Run(plan);
+  if (!run.ok()) {
+    std::fprintf(stderr, "%s: %s\n", o.task.c_str(),
+                 run.status().ToString().c_str());
+    return 1;
+  }
+  const core::CompiledRunResult& r = run.value();
   if (o.task == "kcl") {
-    auto r = algos::CountKCliques(engine.get(), o.k);
-    if (!r.ok()) {
-      std::fprintf(stderr, "kcl: %s\n", r.status().ToString().c_str());
-      return 1;
-    }
     std::printf("%d-cliques: %llu (%.3f ms simulated)\n", o.k,
-                static_cast<unsigned long long>(r.value().cliques),
-                r.value().sim_millis);
-    if (!o.plan_out.empty() && !WritePlan(o.plan_out, r.value().plan)) {
-      return 1;
-    }
+                static_cast<unsigned long long>(r.embeddings), r.sim_millis);
   } else if (o.task == "sm") {
-    auto pattern = ResolvePattern(o, g);
-    if (!pattern.ok()) {
-      std::fprintf(stderr, "pattern: %s\n",
-                   pattern.status().ToString().c_str());
-      return 2;
-    }
-    const graph::Pattern& q = pattern.value();
-    std::printf("query: %s\n", q.DebugString().c_str());
-    // Drive the pattern compiler directly: any connected (optionally
-    // labeled) pattern becomes a CompiledPlan the generic engine runs.
-    core::PatternCompiler compiler(&g);
-    core::CompileOptions copts;
-    if (o.plan_auto) {
-      copts.plan_strategy = core::PlanStrategy::kGreedyCardinality;
-      copts.break_symmetry = true;
-      copts.fold_ascending = true;
-      copts.input_aware = true;
-    } else if (o.symmetric) {
-      copts.break_symmetry = true;
-    }
-    auto compiled = compiler.CompileMatch(q, copts);
-    if (!compiled.ok()) {
-      std::fprintf(stderr, "sm: %s\n",
-                   compiled.status().ToString().c_str());
-      return 2;
-    }
-    const core::CompiledPlan& plan = compiled.value();
-    auto r = core::CompiledEngine(engine.get()).Run(plan);
-    if (!r.ok()) {
-      std::fprintf(stderr, "sm: %s\n", r.status().ToString().c_str());
-      return 1;
-    }
+    std::printf("query: %s\n", plan.pattern.DebugString().c_str());
     std::printf("embeddings: %llu, instances: %llu (%.3f ms simulated)\n",
-                static_cast<unsigned long long>(r.value().embeddings),
-                static_cast<unsigned long long>(r.value().instances),
-                r.value().sim_millis);
-    if (!o.plan_out.empty() && !WritePlan(o.plan_out, plan)) return 1;
+                static_cast<unsigned long long>(r.embeddings),
+                static_cast<unsigned long long>(r.instances), r.sim_millis);
   } else if (o.task == "fpm") {
-    uint64_t minsup = o.minsup ? o.minsup : g.num_edges() / 10;
-    auto r = algos::MineFrequentPatterns(
-        engine.get(), {.max_edges = o.fpm_edges, .min_support = minsup});
-    if (!r.ok()) {
-      std::fprintf(stderr, "fpm: %s\n", r.status().ToString().c_str());
-      return 1;
-    }
-    auto maximal = r.value().patterns.MaximalPatterns();
     std::printf("frequent patterns: %zu (%zu maximal), sup >= %llu "
                 "(%.3f ms simulated)\n",
-                r.value().patterns.size(), maximal.size(),
-                static_cast<unsigned long long>(minsup),
-                r.value().sim_millis);
-    for (const auto& e : r.value().patterns.TopPatterns()) {
+                r.patterns.size(), r.patterns.MaximalPatterns().size(),
+                static_cast<unsigned long long>(plan.min_support),
+                r.sim_millis);
+    for (const auto& e : r.patterns.TopPatterns()) {
       std::printf("  sup=%8llu  %s\n",
                   static_cast<unsigned long long>(e.support),
                   e.exemplar.DebugString().c_str());
     }
-    if (!o.plan_out.empty() && !WritePlan(o.plan_out, r.value().plan)) {
-      return 1;
-    }
-  } else if (o.task == "motif") {
-    auto r = algos::CountMotifs(engine.get(), o.k);
-    if (!r.ok()) {
-      std::fprintf(stderr, "motif: %s\n", r.status().ToString().c_str());
-      return 1;
-    }
+  } else {  // motif: CompileTaskPlan rejected every other task
     std::printf("%d-vertex motifs (%.3f ms simulated):\n", o.k,
-                r.value().sim_millis);
-    for (const auto& [pattern, count] : r.value().motifs) {
-      std::printf("  %12llu x %s\n",
-                  static_cast<unsigned long long>(count),
+                r.sim_millis);
+    for (const auto& [pattern, count] : r.motifs) {
+      std::printf("  %12llu x %s\n", static_cast<unsigned long long>(count),
                   pattern.DebugString().c_str());
     }
-    if (!o.plan_out.empty() && !WritePlan(o.plan_out, r.value().plan)) {
-      return 1;
-    }
-  } else {
-    std::fprintf(stderr, "unknown task: %s\n", o.task.c_str());
-    Usage();
-    return 1;
   }
+  if (!o.plan_out.empty() && !WritePlan(o.plan_out, plan)) return 1;
 
   if (o.trace) {
     // Aggregate the trace by kernel name.

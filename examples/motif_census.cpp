@@ -4,8 +4,9 @@
 // paper lists alongside SM/FPM/kCL (§III).
 #include <cstdio>
 
-#include "algos/motif.h"
+#include "core/compiled_engine.h"
 #include "core/gamma.h"
+#include "core/pattern_compiler.h"
 #include "graph/datasets.h"
 #include "gpusim/device.h"
 
@@ -24,7 +25,9 @@ int main() {
       std::fprintf(stderr, "prepare: %s\n", st.ToString().c_str());
       return 1;
     }
-    auto census = algos::CountMotifs(&engine, k);
+    auto plan = core::PatternCompiler(&g).CompileMotifCensus(k);
+    if (!plan.ok()) return 1;
+    auto census = core::CompiledEngine(&engine).Run(plan.value());
     if (!census.ok()) {
       std::fprintf(stderr, "motifs: %s\n",
                    census.status().ToString().c_str());

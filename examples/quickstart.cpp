@@ -5,8 +5,9 @@
 // grow vertex embeddings into triangles.
 #include <cstdio>
 
-#include "algos/kclique.h"
+#include "core/compiled_engine.h"
 #include "core/gamma.h"
+#include "core/pattern_compiler.h"
 #include "graph/generators.h"
 #include "gpusim/device.h"
 
@@ -30,15 +31,19 @@ int main() {
     return 1;
   }
 
-  // 4. Run the built-in k-clique algorithm (k = 3: triangles).
-  auto result = algos::CountTriangles(&engine);
+  // 4. Compile the k-clique plan (k = 3: triangles) and run it on the
+  //    compiled engine, which verifies the plan before interpreting it.
+  auto plan = core::PatternCompiler(&g).CompileKClique(
+      3, /*count_only_last=*/false);
+  if (!plan.ok()) return 1;
+  auto result = core::CompiledEngine(&engine).Run(plan.value());
   if (!result.ok()) {
     std::fprintf(stderr, "run failed: %s\n",
                  result.status().ToString().c_str());
     return 1;
   }
   std::printf("triangles: %llu\n",
-              static_cast<unsigned long long>(result.value().cliques));
+              static_cast<unsigned long long>(result.value().embeddings));
   std::printf("simulated GPU time: %.3f ms\n", result.value().sim_millis);
   std::printf("device counters: %s\n", device.stats().ToString().c_str());
 

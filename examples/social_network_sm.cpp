@@ -3,8 +3,9 @@
 // worst-case-optimal join and compares against the binary-join plan.
 #include <cstdio>
 
-#include "algos/subgraph_matching.h"
+#include "core/compiled_engine.h"
 #include "core/gamma.h"
+#include "core/pattern_compiler.h"
 #include "graph/datasets.h"
 #include "gpusim/device.h"
 
@@ -29,7 +30,10 @@ int main() {
       std::fprintf(stderr, "prepare: %s\n", st.ToString().c_str());
       return 1;
     }
-    auto woj = algos::MatchWoj(&engine, query);
+    core::PatternCompiler compiler(&g);
+    auto woj_plan = compiler.CompileMatch(query, {});
+    if (!woj_plan.ok()) return 1;
+    auto woj = core::CompiledEngine(&engine).Run(woj_plan.value());
     if (!woj.ok()) {
       std::fprintf(stderr, "WOJ: %s\n", woj.status().ToString().c_str());
       return 1;
@@ -54,7 +58,9 @@ int main() {
       gpusim::Device device2(params);
       core::GammaEngine engine2(&device2, &g, {});
       if (Status st = engine2.Prepare(); !st.ok()) return 1;
-      auto bj = algos::MatchBinaryJoin(&engine2, query);
+      auto bj_plan = compiler.CompileEdgeJoin(query);
+      if (!bj_plan.ok()) return 1;
+      auto bj = core::CompiledEngine(&engine2).Run(bj_plan.value());
       if (bj.ok()) {
         std::printf("  binary join: %llu instances, %.3f ms simulated\n",
                     static_cast<unsigned long long>(bj.value().instances),

@@ -1,39 +1,47 @@
 #include "baselines/systems.h"
 
-#include "algos/fpm.h"
-#include "algos/kclique.h"
-#include "algos/subgraph_matching.h"
+#include <algorithm>
+
 #include "baselines/presets.h"
+#include "core/compiled_engine.h"
 
 namespace gpm::baselines {
 namespace {
 
-GpuRunResult Snapshot(gpusim::Device* device, core::GammaEngine* engine,
-                      uint64_t count, double sim_millis,
-                      const core::CompiledPlan* plan = nullptr) {
+// Runs `plan` on a fresh engine over `g` and snapshots the device. In-core
+// systems (`fit_pool`) size their write buffers from whatever device
+// memory the graph left free — they have no host spill to fall back on.
+Result<GpuRunResult> RunGpuSystem(gpusim::Device* device,
+                                  const graph::Graph& g,
+                                  const core::GammaOptions& options,
+                                  bool fit_pool,
+                                  const Result<core::CompiledPlan>& plan) {
+  if (!plan.ok()) return plan.status();
+  core::GammaEngine engine(device, &g, options);
+  Status st = engine.Prepare();
+  if (!st.ok()) return st;
+  if (fit_pool) {
+    std::size_t free_bytes = device->memory().available_bytes();
+    std::size_t pool = std::max<std::size_t>(64 << 10, free_bytes / 2);
+    engine.mutable_options().extension.pool_bytes =
+        std::min(engine.options().extension.pool_bytes, pool);
+  }
+  auto run = core::CompiledEngine(&engine).Run(plan.value());
+  if (!run.ok()) return run.status();
+
   GpuRunResult r;
-  r.count = count;
-  r.sim_millis = sim_millis;
+  r.count = plan.value().kind == core::PlanKind::kFrequentMining
+                ? run.value().patterns.size()
+                : run.value().embeddings;
+  r.sim_millis = run.value().sim_millis;
   r.peak_device_bytes = device->PeakDeviceBytes();
   r.peak_host_bytes = device->host_tracker().peak_bytes();
-  if (engine != nullptr && engine->audit() != nullptr) {
-    r.adaptivity = engine->audit()->Summary();
+  if (engine.audit() != nullptr) r.adaptivity = engine.audit()->Summary();
+  if (engine.plan_profiler() != nullptr) {
+    r.planprof = engine.plan_profiler()->Summary();
   }
-  if (engine != nullptr && engine->plan_profiler() != nullptr) {
-    r.planprof = engine->plan_profiler()->Summary();
-  }
-  if (plan != nullptr) r.plan = plan->Summary();
+  r.plan = plan.value().Summary();
   return r;
-}
-
-// In-core systems size their write buffers from whatever device memory the
-// graph left free (they have no host spill to fall back on).
-void FitPoolToFreeMemory(core::GammaEngine* engine,
-                         gpusim::Device* device) {
-  std::size_t free_bytes = device->memory().available_bytes();
-  std::size_t pool = std::max<std::size_t>(64 << 10, free_bytes / 2);
-  engine->mutable_options().extension.pool_bytes =
-      std::min(engine->options().extension.pool_bytes, pool);
 }
 
 }  // namespace
@@ -50,78 +58,45 @@ CpuModel GraphMinerModel() {
 
 Result<GpuRunResult> PangolinGpuKClique(gpusim::Device* device,
                                         const graph::Graph& g, int k) {
-  core::GammaEngine engine(device, &g, PangolinGpuOptions());
-  Status st = engine.Prepare();
-  if (!st.ok()) return st;
-  FitPoolToFreeMemory(&engine, device);
-  auto run = algos::CountKCliques(&engine, k);
-  if (!run.ok()) return run.status();
-  return Snapshot(device, &engine, run.value().cliques,
-                  run.value().sim_millis, &run.value().plan);
+  return RunGpuSystem(device, g, PangolinGpuOptions(), /*fit_pool=*/true,
+                      core::PatternCompiler(&g).CompileKClique(k, false));
 }
 
 Result<GpuRunResult> PangolinGpuFpm(gpusim::Device* device,
                                     const graph::Graph& g, int max_edges,
                                     uint64_t min_support) {
-  core::GammaEngine engine(device, &g, PangolinGpuOptions());
-  Status st = engine.Prepare();
-  if (!st.ok()) return st;
-  FitPoolToFreeMemory(&engine, device);
-  auto run = algos::MineFrequentPatterns(
-      &engine, {.max_edges = max_edges, .min_support = min_support});
-  if (!run.ok()) return run.status();
-  return Snapshot(device, &engine, run.value().patterns.size(),
-                  run.value().sim_millis, &run.value().plan);
+  return RunGpuSystem(device, g, PangolinGpuOptions(), /*fit_pool=*/true,
+                      core::PatternCompiler(&g).CompileFpm(max_edges,
+                                                           min_support));
 }
 
 Result<GpuRunResult> GsiMatch(gpusim::Device* device, const graph::Graph& g,
                               const graph::Pattern& query) {
-  core::GammaEngine engine(device, &g, GsiOptions());
-  Status st = engine.Prepare();
-  if (!st.ok()) return st;
-  FitPoolToFreeMemory(&engine, device);
-  auto run = algos::MatchWoj(&engine, query);
-  if (!run.ok()) return run.status();
-  return Snapshot(device, &engine, run.value().embeddings,
-                  run.value().sim_millis, &run.value().plan);
+  return RunGpuSystem(device, g, GsiOptions(), /*fit_pool=*/true,
+                      core::PatternCompiler(&g).CompileMatch(query, {}));
 }
 
 Result<GpuRunResult> GammaKClique(gpusim::Device* device,
                                   const graph::Graph& g, int k,
                                   const core::GammaOptions& options) {
-  core::GammaEngine engine(device, &g, options);
-  Status st = engine.Prepare();
-  if (!st.ok()) return st;
-  auto run = algos::CountKCliques(&engine, k);
-  if (!run.ok()) return run.status();
-  return Snapshot(device, &engine, run.value().cliques,
-                  run.value().sim_millis, &run.value().plan);
+  return RunGpuSystem(device, g, options, /*fit_pool=*/false,
+                      core::PatternCompiler(&g).CompileKClique(k, false));
 }
 
 Result<GpuRunResult> GammaMatch(gpusim::Device* device,
                                 const graph::Graph& g,
                                 const graph::Pattern& query,
                                 const core::GammaOptions& options) {
-  core::GammaEngine engine(device, &g, options);
-  Status st = engine.Prepare();
-  if (!st.ok()) return st;
-  auto run = algos::MatchWoj(&engine, query);
-  if (!run.ok()) return run.status();
-  return Snapshot(device, &engine, run.value().embeddings,
-                  run.value().sim_millis, &run.value().plan);
+  return RunGpuSystem(device, g, options, /*fit_pool=*/false,
+                      core::PatternCompiler(&g).CompileMatch(query, {}));
 }
 
 Result<GpuRunResult> GammaFpm(gpusim::Device* device, const graph::Graph& g,
                               int max_edges, uint64_t min_support,
                               const core::GammaOptions& options) {
-  core::GammaEngine engine(device, &g, options);
-  Status st = engine.Prepare();
-  if (!st.ok()) return st;
-  auto run = algos::MineFrequentPatterns(
-      &engine, {.max_edges = max_edges, .min_support = min_support});
-  if (!run.ok()) return run.status();
-  return Snapshot(device, &engine, run.value().patterns.size(),
-                  run.value().sim_millis, &run.value().plan);
+  return RunGpuSystem(device, g, options, /*fit_pool=*/false,
+                      core::PatternCompiler(&g).CompileFpm(max_edges,
+                                                           min_support));
 }
 
 CpuRunResult PeregrineKClique(const graph::Graph& g, int k) {

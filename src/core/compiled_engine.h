@@ -13,9 +13,8 @@
 
 namespace gpm::core {
 
-/// What CompiledEngine::Run produces. Which fields are meaningful depends
-/// on the plan kind; the preset wrappers in src/algos project this into
-/// their legacy result structs.
+/// What CompiledEngine::Run produces — the one result type of every
+/// mining task. Which fields are meaningful depends on the plan kind.
 struct CompiledRunResult {
   uint64_t embeddings = 0;  ///< matched rows (vertex plans, edge join)
   uint64_t instances = 0;   ///< deduplicated instances

@@ -170,7 +170,7 @@ class PatternCompiler {
                                     const CompileOptions& options) const;
 
   /// CompileMatch with a caller-supplied matching order (bypasses
-  /// BuildWojPlan; the explicit-plan entry point of MatchWojWithPlan).
+  /// BuildWojPlan).
   Result<CompiledPlan> CompileMatchWithPlan(
       const graph::Pattern& query, const WojPlan& plan,
       const CompileOptions& options) const;

@@ -54,9 +54,9 @@ bool PatternConnected(const Pattern& p) {
 
 // Independent automorphism enumeration: label- and degree-pruned
 // backtracking over partial vertex images. Deliberately a different
-// algorithm from symmetry.cc's next_permutation sweep (and from
-// Pattern::CountAutomorphisms), so the verifier is not the compiler
-// checking itself.
+// algorithm from Pattern's next_permutation sweep (which both
+// BreakSymmetry and CountAutomorphisms use), so the verifier is not the
+// compiler checking itself.
 void AutomorphismBacktrack(const Pattern& p, std::vector<int>* sigma,
                            std::array<bool, Pattern::kMaxVertices>* used,
                            int i, std::vector<std::vector<int>>* out) {

@@ -1,35 +1,10 @@
 #include "core/symmetry.h"
 
-#include <algorithm>
-#include <numeric>
 #include <sstream>
 
 #include "common/logging.h"
 
 namespace gpm::core {
-namespace {
-
-// All label-preserving automorphisms of `p` (each perm maps vertex i to
-// perm[i]). Patterns are tiny, so brute force over permutations is fine.
-std::vector<std::vector<int>> Automorphisms(const graph::Pattern& p) {
-  const int n = p.num_vertices();
-  std::vector<int> perm(n);
-  std::iota(perm.begin(), perm.end(), 0);
-  std::vector<std::vector<int>> autos;
-  do {
-    bool ok = true;
-    for (int i = 0; i < n && ok; ++i) {
-      if (p.label(perm[i]) != p.label(i)) ok = false;
-      for (int j = i + 1; j < n && ok; ++j) {
-        if (p.HasEdge(i, j) != p.HasEdge(perm[i], perm[j])) ok = false;
-      }
-    }
-    if (ok) autos.push_back(perm);
-  } while (std::next_permutation(perm.begin(), perm.end()));
-  return autos;
-}
-
-}  // namespace
 
 std::vector<SymmetryRestriction> BreakSymmetry(
     const graph::Pattern& query, const std::vector<int>& order) {
@@ -38,7 +13,7 @@ std::vector<SymmetryRestriction> BreakSymmetry(
   std::vector<int> pos_of(n);  // pattern vertex -> order position
   for (int d = 0; d < n; ++d) pos_of[order[d]] = d;
 
-  std::vector<std::vector<int>> active = Automorphisms(query);
+  std::vector<std::vector<int>> active = query.Automorphisms();
   std::vector<SymmetryRestriction> restrictions;
 
   for (int d = 0; d < n && active.size() > 1; ++d) {

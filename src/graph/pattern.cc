@@ -105,21 +105,42 @@ Pattern Pattern::Permuted(const std::vector<int>& perm) const {
   return out;
 }
 
-int Pattern::CountAutomorphisms() const {
-  std::vector<int> perm(n_);
+namespace {
+
+// The one automorphism sweep: calls `visit(perm)` for every permutation
+// that preserves labels and adjacency, in lexicographic order. Patterns
+// are tiny, so brute force over all permutations is fine.
+template <typename Visit>
+void ForEachAutomorphism(const Pattern& p, Visit visit) {
+  const int n = p.num_vertices();
+  std::vector<int> perm(n);
   std::iota(perm.begin(), perm.end(), 0);
-  int count = 0;
   do {
     bool auto_ok = true;
-    for (int i = 0; i < n_ && auto_ok; ++i) {
-      if (labels_[perm[i]] != labels_[i]) auto_ok = false;
-      for (int j = i + 1; j < n_ && auto_ok; ++j) {
-        if (HasEdge(i, j) != HasEdge(perm[i], perm[j])) auto_ok = false;
+    for (int i = 0; i < n && auto_ok; ++i) {
+      if (p.label(perm[i]) != p.label(i)) auto_ok = false;
+      for (int j = i + 1; j < n && auto_ok; ++j) {
+        if (p.HasEdge(i, j) != p.HasEdge(perm[i], perm[j])) auto_ok = false;
       }
     }
-    if (auto_ok) ++count;
+    if (auto_ok) visit(perm);
   } while (std::next_permutation(perm.begin(), perm.end()));
+}
+
+}  // namespace
+
+int Pattern::CountAutomorphisms() const {
+  int count = 0;
+  ForEachAutomorphism(*this, [&count](const std::vector<int>&) { ++count; });
   return count;
+}
+
+std::vector<std::vector<int>> Pattern::Automorphisms() const {
+  std::vector<std::vector<int>> autos;
+  ForEachAutomorphism(*this, [&autos](const std::vector<int>& perm) {
+    autos.push_back(perm);
+  });
+  return autos;
 }
 
 namespace {

@@ -60,6 +60,11 @@ class Pattern {
   /// counts to instance counts.
   int CountAutomorphisms() const;
 
+  /// Every label-preserving automorphism, in lexicographic order; each
+  /// permutation maps vertex i to perm[i]. Symmetry breaking walks this
+  /// group; callers that only need its size use CountAutomorphisms().
+  std::vector<std::vector<int>> Automorphisms() const;
+
   /// True when this pattern maps injectively into `other` preserving edges
   /// and labels (subgraph containment between patterns; used to compute
   /// maximal frequent patterns).

@@ -11,9 +11,10 @@
 #include <string>
 #include <vector>
 
-#include "algos/kclique.h"
 #include "core/adaptivity_audit.h"
+#include "core/compiled_engine.h"
 #include "core/gamma.h"
+#include "core/pattern_compiler.h"
 #include "graph/generators.h"
 #include "gpusim/device.h"
 #include "gpusim/sim_params.h"
@@ -60,11 +61,12 @@ RunOutcome RunKClique(const graph::Graph& g, GraphPlacement placement,
   options.adaptivity_audit = audit;
   GammaEngine engine(&device, &g, options);
   EXPECT_TRUE(engine.Prepare().ok());
-  auto r = algos::CountKCliques(&engine, 4);
+  auto r = CompiledEngine(&engine).Run(
+      PatternCompiler(&g).CompileKClique(4, false).value());
   EXPECT_TRUE(r.ok());
 
   RunOutcome out;
-  out.cliques = r.ok() ? r.value().cliques : 0;
+  out.cliques = r.ok() ? r.value().embeddings : 0;
   out.now_cycles = device.now_cycles();
   out.stats = device.stats().Snapshot();
   if (engine.audit() != nullptr) {
@@ -292,7 +294,9 @@ TEST(AdaptivityAuditTest, ToJsonMatchesSchema) {
   options.adaptivity_audit = true;
   GammaEngine engine(&device, &g, options);
   ASSERT_TRUE(engine.Prepare().ok());
-  ASSERT_TRUE(algos::CountKCliques(&engine, 4).ok());
+  ASSERT_TRUE(CompiledEngine(&engine)
+                  .Run(PatternCompiler(&g).CompileKClique(4, false).value())
+                  .ok());
   ASSERT_NE(engine.audit(), nullptr);
 
   std::string json = engine.audit()->ToJson();

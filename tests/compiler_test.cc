@@ -1,11 +1,13 @@
 // Pattern-compiler parity suite: the compiled engine must reproduce the
 // hand-specialized algorithms' exact counts (tolerance 0) on every
-// workload, and automatically derived symmetry restrictions must be
-// complete (no duplicates, orbit-count identity) for asymmetric, fully
-// symmetric, and labeled patterns.
+// workload, automatically derived symmetry restrictions must be complete
+// (no duplicates, orbit-count identity) for asymmetric, fully symmetric,
+// and labeled patterns, and invalid inputs must come back as
+// kInvalidArgument rather than aborting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -38,21 +40,25 @@ graph::Graph RandomLabeled(uint64_t seed, graph::VertexId n,
   return g;
 }
 
+// Runs `plan` on a fresh engine over `g`; `stats` (optional) receives the
+// device counters after the run.
 core::CompiledRunResult RunPlan(graph::Graph* g,
-                                const core::CompiledPlan& plan) {
+                                const core::CompiledPlan& plan,
+                                gpusim::DeviceStats* stats = nullptr) {
   gpusim::Device device(TestParams());
   core::GammaEngine engine(&device, g, {});
   EXPECT_TRUE(engine.Prepare().ok());
   core::CompiledEngine compiled(&engine);
   auto run = compiled.Run(plan);
   EXPECT_TRUE(run.ok()) << run.status().message();
+  if (stats != nullptr) *stats = device.stats().Snapshot();
   return run.ok() ? run.value() : core::CompiledRunResult{};
 }
 
 TEST(CompilerParityTest, CliqueCountsMatchOracle) {
   graph::Graph g = RandomLabeled(11, 60, 500);
   core::PatternCompiler compiler(&g);
-  for (int k : {3, 4, 5}) {
+  for (int k : {2, 3, 4, 5}) {
     core::CompiledPlan plan = compiler.CompileKClique(k, true).value();
     // The clique preset must fold every restriction into the ascending
     // intersection — no post-filters survive.
@@ -61,10 +67,23 @@ TEST(CompilerParityTest, CliqueCountsMatchOracle) {
       EXPECT_TRUE(level.restrictions.empty()) << "k=" << k;
     }
     EXPECT_TRUE(plan.levels.back().count_only) << "k=" << k;
-    core::CompiledRunResult run = RunPlan(&g, plan);
+    gpusim::DeviceStats counted_stats, materialized_stats;
+    core::CompiledRunResult run = RunPlan(&g, plan, &counted_stats);
+    // 2-cliques are exactly the edges.
     EXPECT_EQ(run.embeddings,
-              graph::CountInstances(g, graph::Pattern::Clique(k)))
+              k == 2 ? g.num_edges()
+                     : graph::CountInstances(g, graph::Pattern::Clique(k)))
         << "k=" << k;
+    // Materializing the last column finds the same cliques, while the
+    // count-only run skips the final flush: strictly less D2H traffic.
+    core::CompiledRunResult materialized =
+        RunPlan(&g, compiler.CompileKClique(k, false).value(),
+                &materialized_stats);
+    EXPECT_EQ(materialized.embeddings, run.embeddings) << "k=" << k;
+    EXPECT_LT(counted_stats.explicit_d2h_bytes,
+              materialized_stats.explicit_d2h_bytes)
+        << "k=" << k;
+    EXPECT_LE(run.sim_millis, materialized.sim_millis) << "k=" << k;
   }
 }
 
@@ -114,6 +133,15 @@ std::map<std::vector<int>, uint64_t> InducedCensus(const graph::Graph& g,
 }
 
 TEST(CompilerParityTest, MotifCensusMatchesInducedOracle) {
+  // The census divides each shape's embedding count by its number of
+  // connected-prefix orderings (the per-instance multiplicity of union
+  // extension): 3! for the triangle, 4 for the wedge, and for the 3-star
+  // 3! with the center first plus 3 * 2! with a leaf first.
+  EXPECT_EQ(graph::CountConnectedOrderings(graph::Pattern::Triangle()), 6u);
+  EXPECT_EQ(graph::CountConnectedOrderings(graph::Pattern::Path(3)), 4u);
+  EXPECT_EQ(graph::CountConnectedOrderings(graph::Pattern::Clique(4)), 24u);
+  EXPECT_EQ(graph::CountConnectedOrderings(graph::Pattern::Star(3)), 12u);
+
   graph::Graph g = RandomLabeled(12, 40, 150);
   core::PatternCompiler compiler(&g);
   for (int k : {3, 4}) {
@@ -127,19 +155,50 @@ TEST(CompilerParityTest, MotifCensusMatchesInducedOracle) {
           << shape.DebugString();
     }
   }
+
+  // Closed form for k = 3: induced wedges are all sum_v C(deg v, 2)
+  // wedges minus the three inside each triangle.
+  const uint64_t triangles =
+      graph::CountInstances(g, graph::Pattern::Triangle());
+  uint64_t wedges = 0;
+  for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
+    const uint64_t d = g.degree(v);
+    wedges += d * (d - 1) / 2;
+  }
+  for (const auto& [shape, count] :
+       RunPlan(&g, compiler.CompileMotifCensus(3).value()).motifs) {
+    EXPECT_EQ(count, shape.num_edges() == 3 ? triangles
+                                            : wedges - 3 * triangles)
+        << shape.DebugString();
+  }
 }
 
 TEST(CompilerParityTest, FpmMatchesEmbeddingCentricReference) {
   graph::Graph g = RandomLabeled(9, 40, 120);
   core::PatternCompiler compiler(&g);
-  core::CompiledRunResult run = RunPlan(&g, compiler.CompileFpm(3, 3).value());
-  auto ref = baselines::CpuFpmEmbeddingCentric(g, 3, 3,
-                                               baselines::CpuModel{});
-  EXPECT_EQ(run.patterns.size(), ref.patterns.size());
-  for (const auto& e : ref.patterns.entries()) {
-    const core::PatternEntry* mine = run.patterns.Find(e.code);
-    ASSERT_NE(mine, nullptr) << e.exemplar.DebugString();
-    EXPECT_EQ(mine->support, e.support) << e.exemplar.DebugString();
+  std::size_t prev_patterns = SIZE_MAX;
+  for (uint64_t sup : {1, 3, 16, 64}) {
+    core::CompiledRunResult run =
+        RunPlan(&g, compiler.CompileFpm(3, sup).value());
+    auto ref = baselines::CpuFpmEmbeddingCentric(g, 3, sup,
+                                                 baselines::CpuModel{});
+    EXPECT_EQ(run.patterns.size(), ref.patterns.size()) << "sup=" << sup;
+    for (const auto& e : ref.patterns.entries()) {
+      const core::PatternEntry* mine = run.patterns.Find(e.code);
+      ASSERT_NE(mine, nullptr) << e.exemplar.DebugString();
+      EXPECT_EQ(mine->support, e.support) << e.exemplar.DebugString();
+    }
+    // A higher threshold never adds patterns.
+    EXPECT_LE(run.patterns.size(), prev_patterns) << "sup=" << sup;
+    prev_patterns = run.patterns.size();
+    if (sup == 1) {
+      // Nothing is filtered, so the single-edge supports sum to |E|.
+      uint64_t single_edge_total = 0;
+      for (const auto& e : run.patterns.entries()) {
+        if (e.exemplar.num_edges() == 1) single_edge_total += e.support;
+      }
+      EXPECT_EQ(single_edge_total, g.num_edges());
+    }
   }
 }
 
@@ -276,6 +335,42 @@ TEST(InputAwareTest, AutoPlansMatchOracleOnQuerySet) {
     core::CompiledRunResult run = RunPlan(&g, compiler.CompileMatch(q, aware).value());
     EXPECT_EQ(run.instances, graph::CountInstances(g, q))
         << q.DebugString();
+  }
+}
+
+// Every kInvalidArgument branch of the compiler: untrusted parameters and
+// patterns fail as a structured error, never an abort.
+TEST(CompilerRejectionTest, InvalidInputsReturnInvalidArgument) {
+  graph::Graph g = RandomLabeled(22, 30, 80);
+  core::PatternCompiler compiler(&g);
+  graph::Pattern disconnected(4);
+  disconnected.AddEdge(0, 1);
+  disconnected.AddEdge(2, 3);
+  const graph::Pattern path = graph::Pattern::Path(3);  // 0-1-2
+  const struct {
+    const char* name;
+    Result<core::CompiledPlan> plan;
+  } cases[] = {
+      {"k-clique k=1", compiler.CompileKClique(1, false)},
+      {"motif k=1", compiler.CompileMotifCensus(1)},
+      {"motif k=6", compiler.CompileMotifCensus(6)},
+      {"fpm max_edges=0", compiler.CompileFpm(0, 1)},
+      {"empty pattern", compiler.CompileMatch(graph::Pattern(), {})},
+      {"disconnected pattern", compiler.CompileMatch(disconnected, {})},
+      {"disconnected edge join", compiler.CompileEdgeJoin(disconnected)},
+      {"order size mismatch",
+       compiler.CompileMatchWithPlan(
+           path, core::WojPlan{.order = {0, 1}, .backward = {}}, {})},
+      {"order prefix not connected",
+       compiler.CompileMatchWithPlan(
+           path, core::WojPlan{.order = {0, 2, 1}, .backward = {}}, {})},
+      {"edge join on edgeless pattern",
+       compiler.CompileEdgeJoin(graph::Pattern(3))},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(c.plan.status().code(), ErrorCode::kInvalidArgument)
+        << c.name << ": " << c.plan.status().ToString();
+    EXPECT_FALSE(c.plan.status().message().empty()) << c.name;
   }
 }
 

@@ -9,9 +9,10 @@
 
 #include <string>
 
-#include "algos/kclique.h"
 #include "common/random.h"
+#include "core/compiled_engine.h"
 #include "core/gamma.h"
+#include "core/pattern_compiler.h"
 #include "graph/generators.h"
 #include "gpusim/critpath.h"
 #include "gpusim/device.h"
@@ -215,7 +216,8 @@ CritpathReport EngineReport(std::size_t streams, gpusim::Device* device) {
   }
   core::GammaEngine engine(device, &g, options);
   EXPECT_TRUE(engine.Prepare().ok());
-  auto result = algos::CountTriangles(&engine);
+  auto result = core::CompiledEngine(&engine).Run(
+      core::PatternCompiler(&g).CompileKClique(3, false).value());
   EXPECT_TRUE(result.ok());
   EXPECT_EQ(device->critpath().dropped(), 0u)
       << "raise the capacity: these assertions need a complete log";

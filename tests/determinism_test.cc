@@ -17,11 +17,9 @@
 #include <set>
 #include <string>
 
-#include "algos/fpm.h"
-#include "algos/kclique.h"
-#include "algos/motif.h"
-#include "algos/subgraph_matching.h"
+#include "core/compiled_engine.h"
 #include "core/gamma.h"
+#include "core/pattern_compiler.h"
 #include "graph/generators.h"
 #include "graph/pattern.h"
 #include "gpusim/device.h"
@@ -66,32 +64,31 @@ struct RunOutcome {
   double cycles = 0;
 };
 
+Result<core::CompiledPlan> CompileAlgo(Algo algo, const graph::Graph& g) {
+  core::PatternCompiler compiler(&g);
+  switch (algo) {
+    case Algo::kKcl:
+      return compiler.CompileKClique(4, false);
+    case Algo::kMotif:
+      return compiler.CompileMotifCensus(3);
+    case Algo::kFpm:
+      return compiler.CompileFpm(/*max_edges=*/3, /*min_support=*/20);
+    case Algo::kSm:
+      return compiler.CompileMatch(
+          graph::Pattern::SmQuery(1, g.num_labels()), {});
+  }
+  return Status::Internal("unknown algorithm");
+}
+
 // Runs one algorithm end-to-end on a fresh device and returns the final
 // counters and clock.
 RunOutcome RunAlgo(Algo algo, const graph::Graph& g, int host_threads) {
+  auto plan = CompileAlgo(algo, g);
   gpusim::Device device(TestParams(host_threads));
   core::GammaEngine engine(&device, &g, {});
   EXPECT_TRUE(engine.Prepare().ok());
-  switch (algo) {
-    case Algo::kKcl:
-      EXPECT_TRUE(algos::CountKCliques(&engine, 4).ok());
-      break;
-    case Algo::kMotif:
-      EXPECT_TRUE(algos::CountMotifs(&engine, 3).ok());
-      break;
-    case Algo::kFpm: {
-      algos::FpmOptions fpm;
-      fpm.max_edges = 3;
-      fpm.min_support = 20;
-      EXPECT_TRUE(algos::MineFrequentPatterns(&engine, fpm).ok());
-      break;
-    }
-    case Algo::kSm: {
-      graph::Pattern q = graph::Pattern::SmQuery(1, g.num_labels());
-      EXPECT_TRUE(algos::MatchWoj(&engine, q).ok());
-      break;
-    }
-  }
+  EXPECT_TRUE(plan.ok());
+  EXPECT_TRUE(core::CompiledEngine(&engine).Run(plan.value()).ok());
   return {device.stats().Snapshot(), device.now_cycles()};
 }
 
@@ -138,7 +135,11 @@ TEST(DeterminismTest, CountOnlyExtensionRunsOnComputeStream) {
   options.extension.num_streams = 2;
   core::GammaEngine engine(&device, &g, options);
   ASSERT_TRUE(engine.Prepare().ok());
-  ASSERT_TRUE(algos::CountKCliques(&engine, 3, /*count_only_last=*/true).ok());
+  ASSERT_TRUE(core::CompiledEngine(&engine)
+                  .Run(core::PatternCompiler(&g)
+                           .CompileKClique(3, /*count_only_last=*/true)
+                           .value())
+                  .ok());
 
   std::set<int> count_only_tracks;
   std::set<int> materializing_tracks;

@@ -4,14 +4,14 @@
 // invariants the benchmark harness relies on.
 #include <gtest/gtest.h>
 
-#include "algos/fpm.h"
-#include "algos/kclique.h"
-#include "algos/subgraph_matching.h"
 #include "baselines/presets.h"
 #include "baselines/systems.h"
+#include "core/compiled_engine.h"
+#include "core/pattern_compiler.h"
 #include "graph/datasets.h"
 #include "graph/isomorphism.h"
 #include "graph/metrics.h"
+#include "graph/reorder.h"
 
 namespace gpm {
 namespace {
@@ -29,16 +29,25 @@ core::GammaOptions BenchLikeOptions() {
   return o;
 }
 
+// Runs `plan` on a fresh engine over `g` with the bench-like setup.
+Result<core::CompiledRunResult> RunOnDevice(
+    gpusim::Device* device, const graph::Graph& g,
+    const Result<core::CompiledPlan>& plan) {
+  if (!plan.ok()) return plan.status();
+  core::GammaEngine engine(device, &g, BenchLikeOptions());
+  if (Status st = engine.Prepare(); !st.ok()) return st;
+  return core::CompiledEngine(&engine).Run(plan.value());
+}
+
 TEST(EndToEndTest, TrianglesOnSmallProxiesMatchMetrics) {
   for (const char* name : {"ER", "EA"}) {
     graph::Graph g = graph::MakeDataset(name);
     graph::GraphMetrics m = graph::ComputeMetrics(g);
     gpusim::Device device(BenchLikeParams());
-    core::GammaEngine engine(&device, &g, BenchLikeOptions());
-    ASSERT_TRUE(engine.Prepare().ok());
-    auto r = algos::CountTriangles(&engine);
+    auto r = RunOnDevice(&device, g,
+                         core::PatternCompiler(&g).CompileKClique(3, false));
     ASSERT_TRUE(r.ok()) << name;
-    EXPECT_EQ(r.value().cliques, m.triangles) << name;
+    EXPECT_EQ(r.value().embeddings, m.triangles) << name;
   }
 }
 
@@ -89,22 +98,24 @@ TEST(EndToEndTest, ProxyFamiliesCarryExpectedSkew) {
 
 TEST(EndToEndTest, SymmetricAndOrientedAgreeOnProxy) {
   graph::Graph g = graph::MakeDataset("EA");
+  graph::Graph oriented_g =
+      graph::Reorder(g, graph::ReorderStrategy::kDegeneracy);
   gpusim::Device d1(BenchLikeParams()), d2(BenchLikeParams());
-  core::GammaEngine e1(&d1, &g, BenchLikeOptions());
-  ASSERT_TRUE(e1.Prepare().ok());
-  auto plain = algos::CountKCliques(&e1, 4);
-  auto oriented =
-      algos::CountKCliquesOriented(&d2, g, 4, BenchLikeOptions());
+  auto plain = RunOnDevice(
+      &d1, g, core::PatternCompiler(&g).CompileKClique(4, false));
+  auto oriented = RunOnDevice(
+      &d2, oriented_g,
+      core::PatternCompiler(&oriented_g).CompileKClique(4, false));
   ASSERT_TRUE(plain.ok());
   ASSERT_TRUE(oriented.ok());
-  EXPECT_EQ(plain.value().cliques, oriented.value().cliques);
+  EXPECT_EQ(plain.value().embeddings, oriented.value().embeddings);
 
   gpusim::Device d3(BenchLikeParams());
-  core::GammaEngine e3(&d3, &g, BenchLikeOptions());
-  ASSERT_TRUE(e3.Prepare().ok());
-  auto sym = algos::MatchWojSymmetric(&e3, graph::Pattern::Clique(4));
+  auto sym = RunOnDevice(&d3, g,
+                         core::PatternCompiler(&g).CompileMatch(
+                             graph::Pattern::Clique(4), {.break_symmetry = true}));
   ASSERT_TRUE(sym.ok());
-  EXPECT_EQ(sym.value().instances, plain.value().cliques);
+  EXPECT_EQ(sym.value().instances, plain.value().embeddings);
 }
 
 TEST(EndToEndTest, UpscaledProxyKeepsPerCloneCounts) {
@@ -125,11 +136,10 @@ TEST(EndToEndTest, DeterministicAcrossProcessRestarts) {
   for (int run = 0; run < 2; ++run) {
     graph::Graph g = graph::MakeDataset("EA");
     gpusim::Device device(BenchLikeParams());
-    core::GammaEngine engine(&device, &g, BenchLikeOptions());
-    ASSERT_TRUE(engine.Prepare().ok());
-    auto r = algos::CountKCliques(&engine, 4);
+    auto r = RunOnDevice(&device, g,
+                         core::PatternCompiler(&g).CompileKClique(4, false));
     ASSERT_TRUE(r.ok());
-    counts[run] = r.value().cliques;
+    counts[run] = r.value().embeddings;
     times[run] = r.value().sim_millis;
   }
   EXPECT_EQ(counts[0], counts[1]);

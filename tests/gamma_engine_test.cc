@@ -2,8 +2,9 @@
 // rendering, and end-to-end determinism of the façade.
 #include <gtest/gtest.h>
 
-#include "algos/kclique.h"
+#include "core/compiled_engine.h"
 #include "core/gamma.h"
+#include "core/pattern_compiler.h"
 #include "graph/generators.h"
 
 namespace gpm::core {
@@ -99,10 +100,11 @@ TEST(GammaEngineTest, DeterministicAcrossIdenticalRuns) {
     gpusim::Device device(TestParams());
     GammaEngine engine(&device, &g, {});
     ASSERT_TRUE(engine.Prepare().ok());
-    auto r = algos::CountKCliques(&engine, 3);
+    auto r = CompiledEngine(&engine).Run(
+        PatternCompiler(&g).CompileKClique(3, false).value());
     ASSERT_TRUE(r.ok());
     times[run] = r.value().sim_millis;
-    counts[run] = r.value().cliques;
+    counts[run] = r.value().embeddings;
   }
   EXPECT_EQ(counts[0], counts[1]);
   EXPECT_DOUBLE_EQ(times[0], times[1]);

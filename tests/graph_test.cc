@@ -109,6 +109,12 @@ TEST(PatternTest, Automorphisms) {
   EXPECT_EQ(Pattern::Path(3).CountAutomorphisms(), 2);
   EXPECT_EQ(Pattern::Cycle(4).CountAutomorphisms(), 8);
   EXPECT_EQ(Pattern::Star(3).CountAutomorphisms(), 6);
+  // The enumerated group has the counted size and starts at the identity.
+  for (const Pattern& p : {Pattern::Path(3), Pattern::Diamond()}) {
+    const std::vector<std::vector<int>> autos = p.Automorphisms();
+    ASSERT_EQ(static_cast<int>(autos.size()), p.CountAutomorphisms());
+    for (int i = 0; i < p.num_vertices(); ++i) EXPECT_EQ(autos[0][i], i);
+  }
 }
 
 TEST(PatternTest, LabelsBreakAutomorphisms) {

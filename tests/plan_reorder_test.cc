@@ -3,8 +3,8 @@
 // baseline placement.
 #include <gtest/gtest.h>
 
-#include "algos/kclique.h"
-#include "algos/subgraph_matching.h"
+#include "core/compiled_engine.h"
+#include "core/pattern_compiler.h"
 #include "core/plan.h"
 #include "graph/generators.h"
 #include "graph/isomorphism.h"
@@ -26,6 +26,21 @@ graph::Graph RandomLabeled(uint64_t seed) {
   graph::Graph g = graph::PowerLaw(120, 500, 0.8, &rng);
   graph::AssignLabelsZipf(&g, 3, 0.5, &rng);
   return g;
+}
+
+// Runs `plan` on a fresh engine over `g` on `device`.
+Result<core::CompiledRunResult> RunOn(gpusim::Device* device,
+                                      const graph::Graph& g,
+                                      const Result<core::CompiledPlan>& plan,
+                                      const core::GammaOptions& options = {}) {
+  if (!plan.ok()) return plan.status();
+  core::GammaEngine engine(device, &g, options);
+  if (Status st = engine.Prepare(); !st.ok()) return st;
+  return core::CompiledEngine(&engine).Run(plan.value());
+}
+
+Result<core::CompiledPlan> KClique(const graph::Graph& g, int k) {
+  return core::PatternCompiler(&g).CompileKClique(k, false);
 }
 
 // ---- Planner ---------------------------------------------------------------
@@ -79,11 +94,10 @@ TEST(PlanTest, GreedyPlanGivesSameCounts) {
   graph::Pattern q = graph::Pattern::SmQuery(3, 3);
   uint64_t expected = graph::CountEmbeddings(g, q);
   gpusim::Device device(TestParams());
-  core::GammaEngine engine(&device, &g, {});
-  ASSERT_TRUE(engine.Prepare().ok());
   core::WojPlan plan = core::BuildWojPlan(
       g, q, core::PlanStrategy::kGreedyCardinality);
-  auto r = algos::MatchWojWithPlan(&engine, q, plan);
+  auto r = RunOn(&device, g,
+                 core::PatternCompiler(&g).CompileMatchWithPlan(q, plan, {}));
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value().embeddings, expected);
 }
@@ -281,24 +295,24 @@ TEST(DegeneracyTest, ForwardNeighborhoodsBounded) {
 
 TEST(DegeneracyTest, OrientedKCliqueMatchesOracle) {
   graph::Graph g = RandomLabeled(22);
+  graph::Graph oriented = graph::Reorder(g, graph::ReorderStrategy::kDegeneracy);
   gpusim::Device device(TestParams());
-  auto r = algos::CountKCliquesOriented(&device, g, 4, {});
+  auto r = RunOn(&device, oriented, KClique(oriented, 4));
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value().cliques,
+  EXPECT_EQ(r.value().embeddings,
             graph::CountInstances(g, graph::Pattern::Clique(4)));
 }
 
 TEST(DegeneracyTest, OrientationHelpsOnSkewedGraphs) {
   Rng rng(23);
   graph::Graph g = graph::PowerLaw(2000, 16000, 1.0, &rng);  // heavy hubs
+  graph::Graph og = graph::Reorder(g, graph::ReorderStrategy::kDegeneracy);
   gpusim::Device d1(TestParams()), d2(TestParams());
-  core::GammaEngine plain_engine(&d1, &g, {});
-  ASSERT_TRUE(plain_engine.Prepare().ok());
-  auto plain = algos::CountKCliques(&plain_engine, 4);
-  auto oriented = algos::CountKCliquesOriented(&d2, g, 4, {});
+  auto plain = RunOn(&d1, g, KClique(g, 4));
+  auto oriented = RunOn(&d2, og, KClique(og, 4));
   ASSERT_TRUE(plain.ok());
   ASSERT_TRUE(oriented.ok());
-  EXPECT_EQ(plain.value().cliques, oriented.value().cliques);
+  EXPECT_EQ(plain.value().embeddings, oriented.value().embeddings);
   EXPECT_LE(oriented.value().sim_millis, plain.value().sim_millis * 1.2);
 }
 
@@ -402,9 +416,8 @@ TEST(ExplicitTransferTest, SameCountsAsImplicit) {
   gpusim::Device device(TestParams());
   core::GammaOptions options;
   options.access.placement = core::GraphPlacement::kExplicitTransfer;
-  core::GammaEngine engine(&device, &g, options);
-  ASSERT_TRUE(engine.Prepare().ok());
-  auto r = algos::MatchWoj(&engine, q);
+  auto r = RunOn(&device, g, core::PatternCompiler(&g).CompileMatch(q, {}),
+                 options);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value().embeddings, expected);
   // Explicit transfer ships the frontier over the link every extension.
@@ -424,9 +437,7 @@ TEST(ExplicitTransferTest, ReshipsFrontierEveryExtension) {
     options.access.placement =
         mode == 0 ? core::GraphPlacement::kHybridAdaptive
                   : core::GraphPlacement::kExplicitTransfer;
-    core::GammaEngine engine(&device, &g, options);
-    ASSERT_TRUE(engine.Prepare().ok());
-    auto r = algos::CountKCliques(&engine, 4);
+    auto r = RunOn(&device, g, KClique(g, 4), options);
     ASSERT_TRUE(r.ok());
     (mode == 0 ? hybrid_h2d : explicit_h2d) =
         device.stats().explicit_h2d_bytes +

@@ -12,11 +12,9 @@
 #include <string>
 #include <vector>
 
-#include "algos/fpm.h"
-#include "algos/kclique.h"
-#include "algos/motif.h"
-#include "algos/subgraph_matching.h"
+#include "core/compiled_engine.h"
 #include "core/gamma.h"
+#include "core/pattern_compiler.h"
 #include "core/plan_profiler.h"
 #include "graph/csr.h"
 #include "graph/pattern.h"
@@ -84,6 +82,11 @@ struct ProfiledRun {
   }
 
   PlanProfiler* prof() { return engine.plan_profiler(); }
+
+  Result<CompiledRunResult> Run(const Result<CompiledPlan>& plan) {
+    if (!plan.ok()) return plan.status();
+    return CompiledEngine(&engine).Run(plan.value());
+  }
 };
 
 // --- Hand-computed actuals, preset by preset --------------------------------
@@ -91,9 +94,9 @@ struct ProfiledRun {
 TEST(PlanProfTest, KCliqueLevelsMatchHandCounts) {
   graph::Graph g = PendantK4();
   ProfiledRun run(g);
-  auto r = algos::CountKCliques(&run.engine, 3);
+  auto r = run.Run(PatternCompiler(&g).CompileKClique(3, false));
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value().cliques, 4u);
+  EXPECT_EQ(r.value().embeddings, 4u);
 
   PlanProfiler* prof = run.prof();
   ASSERT_NE(prof, nullptr);
@@ -141,7 +144,7 @@ TEST(PlanProfTest, KCliqueLevelsMatchHandCounts) {
 TEST(PlanProfTest, MotifLevelsMatchHandCounts) {
   graph::Graph g = PendantK4();
   ProfiledRun run(g);
-  auto r = algos::CountMotifs(&run.engine, 3);
+  auto r = run.Run(PatternCompiler(&g).CompileMotifCensus(3));
   ASSERT_TRUE(r.ok());
 
   PlanProfiler* prof = run.prof();
@@ -175,8 +178,7 @@ TEST(PlanProfTest, MotifLevelsMatchHandCounts) {
 TEST(PlanProfTest, FpmIterationsMatchHandCounts) {
   graph::Graph g = PendantK4();
   ProfiledRun run(g);
-  auto r = algos::MineFrequentPatterns(
-      &run.engine, {.max_edges = 2, .min_support = 2});
+  auto r = run.Run(PatternCompiler(&g).CompileFpm(2, 2));
   ASSERT_TRUE(r.ok());
 
   PlanProfiler* prof = run.prof();
@@ -218,7 +220,7 @@ TEST(PlanProfTest, LabeledSmQueryMatchesHandCounts) {
   q.SetLabel(2, 2);
 
   ProfiledRun run(g);
-  auto r = algos::MatchWoj(&run.engine, q);
+  auto r = run.Run(PatternCompiler(&g).CompileMatch(q, {}));
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value().embeddings, 2u);
 
@@ -260,10 +262,10 @@ struct RunFingerprint {
 
 RunFingerprint FingerprintKClique(const graph::Graph& g, bool profile) {
   ProfiledRun run(g, profile);
-  auto r = algos::CountKCliques(&run.engine, 3);
+  auto r = run.Run(PatternCompiler(&g).CompileKClique(3, false));
   EXPECT_TRUE(r.ok());
   RunFingerprint fp;
-  fp.count = r.ok() ? r.value().cliques : 0;
+  fp.count = r.ok() ? r.value().embeddings : 0;
   fp.now_cycles = run.device.now_cycles();
   fp.stats = run.device.stats().Snapshot();
   return fp;
@@ -289,7 +291,7 @@ TEST(PlanProfTest, ProfilerOnOffIsBitIdentical) {
 TEST(PlanProfTest, AttributionFoldsExactlyToSegmentCycles) {
   graph::Graph g = PendantK4();
   ProfiledRun run(g);
-  auto r = algos::CountKCliques(&run.engine, 3);
+  auto r = run.Run(PatternCompiler(&g).CompileKClique(3, false));
   ASSERT_TRUE(r.ok());
 
   PlanProfiler* prof = run.prof();
@@ -316,7 +318,7 @@ TEST(PlanProfTest, AttributionFoldsExactlyToSegmentCycles) {
 TEST(PlanProfTest, JsonDocumentRoundTrips) {
   graph::Graph g = PendantK4();
   ProfiledRun run(g);
-  auto r = algos::CountKCliques(&run.engine, 3);
+  auto r = run.Run(PatternCompiler(&g).CompileKClique(3, false));
   ASSERT_TRUE(r.ok());
 
   PlanProfiler* prof = run.prof();
@@ -363,7 +365,7 @@ TEST(PlanProfTest, JsonDocumentRoundTrips) {
 TEST(PlanProfTest, SummaryPicksWorstEstimatedLevel) {
   graph::Graph g = PendantK4();
   ProfiledRun run(g);
-  auto r = algos::CountKCliques(&run.engine, 3);
+  auto r = run.Run(PatternCompiler(&g).CompileKClique(3, false));
   ASSERT_TRUE(r.ok());
 
   PlanProfiler* prof = run.prof();
@@ -387,8 +389,8 @@ TEST(PlanProfTest, SummaryPicksWorstEstimatedLevel) {
 TEST(PlanProfTest, SecondRunReplacesFirst) {
   graph::Graph g = PendantK4();
   ProfiledRun run(g);
-  ASSERT_TRUE(algos::CountKCliques(&run.engine, 3).ok());
-  ASSERT_TRUE(algos::CountMotifs(&run.engine, 3).ok());
+  ASSERT_TRUE(run.Run(PatternCompiler(&g).CompileKClique(3, false)).ok());
+  ASSERT_TRUE(run.Run(PatternCompiler(&g).CompileMotifCensus(3)).ok());
 
   PlanProfiler* prof = run.prof();
   ASSERT_TRUE(prof->has_run());

@@ -5,12 +5,11 @@
 
 #include <tuple>
 
-#include "algos/fpm.h"
-#include "algos/kclique.h"
-#include "algos/subgraph_matching.h"
 #include "baselines/cpu_ref.h"
 #include "baselines/presets.h"
+#include "core/compiled_engine.h"
 #include "core/gamma.h"
+#include "core/pattern_compiler.h"
 #include "graph/generators.h"
 #include "graph/isomorphism.h"
 #include "graph/reorder.h"
@@ -45,6 +44,22 @@ graph::Graph SampleGraph(uint64_t seed) {
   return g;
 }
 
+Result<core::CompiledRunResult> RunPlan(core::GammaEngine* engine,
+                                        const Result<core::CompiledPlan>& plan) {
+  if (!plan.ok()) return plan.status();
+  return core::CompiledEngine(engine).Run(plan.value());
+}
+
+Result<core::CompiledPlan> KClique(const graph::Graph& g, int k) {
+  return core::PatternCompiler(&g).CompileKClique(k, false);
+}
+
+Result<core::CompiledPlan> Woj(const graph::Graph& g, const graph::Pattern& q,
+                               bool break_symmetry = false) {
+  return core::PatternCompiler(&g).CompileMatch(
+      q, {.break_symmetry = break_symmetry});
+}
+
 // ---- Strategy-equivalence sweep -------------------------------------------
 
 using StrategyParam =
@@ -65,9 +80,9 @@ TEST_P(StrategyEquivalence, TriangleCountInvariant) {
   options.extension.pre_merge = pre_merge;
   core::GammaEngine engine(&device, &g, options);
   ASSERT_TRUE(engine.Prepare().ok());
-  auto r = algos::CountKCliques(&engine, 3);
+  auto r = RunPlan(&engine, KClique(g, 3));
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r.value().cliques, expected);
+  EXPECT_EQ(r.value().embeddings, expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -103,7 +118,7 @@ TEST_P(AccessEquivalence, SmCountInvariant) {
   options.access.placement = placement;
   core::GammaEngine engine(&device, &g, options);
   ASSERT_TRUE(engine.Prepare().ok());
-  auto r = algos::MatchWoj(&engine, q);
+  auto r = RunPlan(&engine, Woj(g, q));
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r.value().embeddings, expected);
 }
@@ -135,9 +150,8 @@ TEST_P(FpmProperty, MatchesReferenceForThreshold) {
   gpusim::Device device(TestParams());
   core::GammaEngine engine(&device, &g, {});
   ASSERT_TRUE(engine.Prepare().ok());
-  auto r = algos::MineFrequentPatterns(
-      &engine,
-      {.max_edges = 2, .min_support = min_support});
+  auto r = RunPlan(&engine,
+               core::PatternCompiler(&g).CompileFpm(2, min_support));
   ASSERT_TRUE(r.ok());
   auto ref = baselines::CpuFpmEmbeddingCentric(
       g, 2, min_support, baselines::CpuModel{});
@@ -174,7 +188,7 @@ TEST_P(InvariantTest, CompressionPreservesEmbeddings) {
     options.filter.compress = compress == 1;
     core::GammaEngine engine(&device, &g, options);
     ASSERT_TRUE(engine.Prepare().ok());
-    auto r = algos::MatchWoj(&engine, q);
+    auto r = RunPlan(&engine, Woj(g, q));
     ASSERT_TRUE(r.ok());
     counts[compress] = r.value().embeddings;
   }
@@ -187,15 +201,15 @@ TEST_P(InvariantTest, CliqueMonotoneInK) {
   core::GammaEngine engine(&device, &g, {});
   ASSERT_TRUE(engine.Prepare().ok());
   // C(k) * something >= C(k+1): any (k+1)-clique contains k-cliques.
-  auto c3 = algos::CountKCliques(&engine, 3);
+  auto c3 = RunPlan(&engine, KClique(g, 3));
   ASSERT_TRUE(c3.ok());
   gpusim::Device device2(TestParams());
   core::GammaEngine engine2(&device2, &g, {});
   ASSERT_TRUE(engine2.Prepare().ok());
-  auto c4 = algos::CountKCliques(&engine2, 4);
+  auto c4 = RunPlan(&engine2, KClique(g, 4));
   ASSERT_TRUE(c4.ok());
-  if (c4.value().cliques > 0) {
-    EXPECT_GE(c3.value().cliques, c4.value().cliques);
+  if (c4.value().embeddings > 0) {
+    EXPECT_GE(c3.value().embeddings, c4.value().embeddings);
   }
 }
 
@@ -205,7 +219,7 @@ TEST_P(InvariantTest, SimulatedTimeMonotone) {
   core::GammaEngine engine(&device, &g, {});
   ASSERT_TRUE(engine.Prepare().ok());
   double before = device.ElapsedSeconds();
-  ASSERT_TRUE(algos::CountKCliques(&engine, 3).ok());
+  ASSERT_TRUE(RunPlan(&engine, KClique(g, 3)).ok());
   EXPECT_GT(device.ElapsedSeconds(), before);
 }
 
@@ -227,9 +241,9 @@ TEST_P(CrossFeatureTest, ReorderingPreservesCounts) {
     gpusim::Device device(TestParams());
     core::GammaEngine engine(&device, &r, {});
     ASSERT_TRUE(engine.Prepare().ok());
-    auto run = algos::CountKCliques(&engine, 3);
+    auto run = RunPlan(&engine, KClique(r, 3));
     ASSERT_TRUE(run.ok());
-    EXPECT_EQ(run.value().cliques, expected)
+    EXPECT_EQ(run.value().embeddings, expected)
         << graph::ReorderStrategyName(strategy);
   }
 }
@@ -247,8 +261,7 @@ TEST_P(CrossFeatureTest, FpmInvariantAcrossWriteStrategies) {
     options.extension.write_strategy = strategy;
     core::GammaEngine engine(&device, &g, options);
     ASSERT_TRUE(engine.Prepare().ok());
-    auto r = algos::MineFrequentPatterns(
-        &engine, {.max_edges = 2, .min_support = 3});
+    auto r = RunPlan(&engine, core::PatternCompiler(&g).CompileFpm(2, 3));
     ASSERT_TRUE(r.ok()) << core::WriteStrategyName(strategy);
     if (first) {
       reference = std::move(r.value().patterns);
@@ -273,9 +286,9 @@ TEST_P(CrossFeatureTest, AdaptiveIntersectionPreservesCounts) {
     options.extension.adaptive_intersection = adaptive == 1;
     core::GammaEngine engine(&device, &g, options);
     ASSERT_TRUE(engine.Prepare().ok());
-    auto r = algos::CountKCliques(&engine, 4);
+    auto r = RunPlan(&engine, KClique(g, 4));
     ASSERT_TRUE(r.ok());
-    counts[adaptive] = r.value().cliques;
+    counts[adaptive] = r.value().embeddings;
   }
   EXPECT_EQ(counts[0], counts[1]);
 }
@@ -288,8 +301,8 @@ TEST_P(CrossFeatureTest, SymmetricTimesAutEqualsPlainEmbeddings) {
     core::GammaEngine e1(&d1, &g, {}), e2(&d2, &g, {});
     ASSERT_TRUE(e1.Prepare().ok());
     ASSERT_TRUE(e2.Prepare().ok());
-    auto plain = algos::MatchWoj(&e1, q);
-    auto sym = algos::MatchWojSymmetric(&e2, q);
+    auto plain = RunPlan(&e1, Woj(g, q));
+    auto sym = RunPlan(&e2, Woj(g, q, /*break_symmetry=*/true));
     ASSERT_TRUE(plain.ok());
     ASSERT_TRUE(sym.ok());
     EXPECT_EQ(sym.value().instances *

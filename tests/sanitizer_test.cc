@@ -5,9 +5,10 @@
 
 #include "common/random.h"
 
-#include "algos/kclique.h"
+#include "core/compiled_engine.h"
 #include "core/extension.h"
 #include "core/gamma.h"
+#include "core/pattern_compiler.h"
 #include "graph/generators.h"
 #include "gpusim/device.h"
 #include "gpusim/profile.h"
@@ -406,7 +407,8 @@ RunOutcome RunWorkload(bool sanitize, std::size_t streams) {
   {
     GammaEngine engine(&device, &g, options);
     EXPECT_TRUE(engine.Prepare().ok());
-    auto r = algos::CountKCliques(&engine, 4);
+    auto r = core::CompiledEngine(&engine).Run(
+        core::PatternCompiler(&g).CompileKClique(4, false).value());
     EXPECT_TRUE(r.ok());
   }
   if (sanitize) {

@@ -2,7 +2,8 @@
 
 #include <set>
 
-#include "algos/subgraph_matching.h"
+#include "core/compiled_engine.h"
+#include "core/pattern_compiler.h"
 #include "core/symmetry.h"
 #include "graph/generators.h"
 #include "graph/isomorphism.h"
@@ -15,6 +16,15 @@ gpusim::SimParams TestParams() {
   p.device_memory_bytes = 8 << 20;
   p.um_device_buffer_bytes = 512 << 10;
   return p;
+}
+
+// WOJ matching over `q`, optionally with derived symmetry restrictions.
+Result<CompiledRunResult> Match(GammaEngine* engine, const graph::Pattern& q,
+                                bool break_symmetry) {
+  auto plan = PatternCompiler(&engine->graph())
+                  .CompileMatch(q, {.break_symmetry = break_symmetry});
+  if (!plan.ok()) return plan.status();
+  return CompiledEngine(engine).Run(plan.value());
 }
 
 TEST(BreakSymmetryTest, TriangleGivesTotalOrder) {
@@ -67,7 +77,7 @@ TEST_P(SymmetricMatchTest, OneRowPerInstance) {
     gpusim::Device device(TestParams());
     GammaEngine engine(&device, &g, {});
     ASSERT_TRUE(engine.Prepare().ok());
-    auto sym = algos::MatchWojSymmetric(&engine, q);
+    auto sym = Match(&engine, q, /*break_symmetry=*/true);
     ASSERT_TRUE(sym.ok()) << q.DebugString();
     uint64_t expected_instances = graph::CountInstances(g, q);
     EXPECT_EQ(sym.value().instances, expected_instances)
@@ -90,7 +100,7 @@ TEST(SymmetricMatchTest, RestrictedRowsAreSortedRepresentatives) {
   auto order = graph::Pattern::Triangle().DefaultMatchingOrder();
   auto restrictions = BreakSymmetry(graph::Pattern::Triangle(), order);
   ASSERT_GE(restrictions.size(), 2u);
-  auto sym = algos::MatchWojSymmetric(&engine, graph::Pattern::Triangle());
+  auto sym = Match(&engine, graph::Pattern::Triangle(), true);
   ASSERT_TRUE(sym.ok());
   // Re-run and materialize through a fresh engine to inspect rows.
   gpusim::Device device2(TestParams());
@@ -99,7 +109,7 @@ TEST(SymmetricMatchTest, RestrictedRowsAreSortedRepresentatives) {
   auto table = engine2.InitVertexTable();
   ASSERT_TRUE(table.ok());
   // Emulate symmetric extension: ascending clique enumeration must yield
-  // the same set of rows MatchWojSymmetric counted.
+  // the same set of rows the symmetric plan counted.
   VertexExtensionSpec spec;
   spec.intersect_positions = {0};
   spec.require_ascending = true;
@@ -118,8 +128,8 @@ TEST(SymmetricMatchTest, FasterOrEqualWorkThanPlainWoj) {
   GammaEngine e1(&d1, &g, {}), e2(&d2, &g, {});
   ASSERT_TRUE(e1.Prepare().ok());
   ASSERT_TRUE(e2.Prepare().ok());
-  auto plain = algos::MatchWoj(&e1, graph::Pattern::Clique(4));
-  auto sym = algos::MatchWojSymmetric(&e2, graph::Pattern::Clique(4));
+  auto plain = Match(&e1, graph::Pattern::Clique(4), false);
+  auto sym = Match(&e2, graph::Pattern::Clique(4), true);
   ASSERT_TRUE(plain.ok());
   ASSERT_TRUE(sym.ok());
   EXPECT_EQ(sym.value().instances, plain.value().instances);

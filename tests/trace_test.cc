@@ -10,9 +10,10 @@
 #include <utility>
 #include <vector>
 
-#include "algos/kclique.h"
 #include "common/random.h"
+#include "core/compiled_engine.h"
 #include "core/gamma.h"
+#include "core/pattern_compiler.h"
 #include "graph/generators.h"
 #include "gpusim/device.h"
 #include "gpusim/profile.h"
@@ -252,7 +253,8 @@ TEST(EngineTraceTest, QuickstartTimelinePhasesCoverKernels) {
 
   core::GammaEngine engine(&device, &g, {});
   ASSERT_TRUE(engine.Prepare().ok());
-  auto result = algos::CountTriangles(&engine);
+  auto result = core::CompiledEngine(&engine).Run(
+      core::PatternCompiler(&g).CompileKClique(3, false).value());
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(device.trace().dropped_events(), 0u)
       << "raise the capacity: this test requires a complete trace";
