@@ -144,9 +144,9 @@ void Usage() {
       "  --trace-out F      write a Chrome trace-event JSON timeline\n"
       "                     (kernels, phases, warp slots, UM page events;\n"
       "                     open in Perfetto or chrome://tracing)\n"
-      "  --trace-capacity N cap buffered trace events / kernel records /\n"
-      "                     timeline commands (default 65536 events, 2^20\n"
-      "                     commands; overflow counted, not stored)\n"
+      "  --trace-capacity N cap buffered trace events / timeline commands\n"
+      "                     (default 65536 events, 2^20 commands; overflow\n"
+      "                     counted, not stored)\n"
       "  --critpath-out F   write a gamma.critpath.v1 analysis: critical\n"
       "                     path over the stream/event/kernel DAG, per-span\n"
       "                     slack, per-phase binding resource, and what-if\n"
@@ -486,6 +486,22 @@ void PrintExplainAnalyze(core::PlanProfiler* prof) {
   }
 }
 
+// --trace: the command log's kernel records aggregated by kernel name.
+void PrintKernelBreakdown(const prof::CommandLog& log) {
+  std::map<std::string, std::pair<std::size_t, double>> by_name;
+  for (const prof::CommandRecord& rec : log.commands()) {
+    if (rec.kind != prof::CommandRecord::Kind::kKernel) continue;
+    auto& agg = by_name[rec.name];
+    agg.first += 1;
+    agg.second += rec.end - rec.start;
+  }
+  std::printf("kernel breakdown:\n");
+  for (const auto& [name, agg] : by_name) {
+    std::printf("  %-22s %6zu launches  %10.3f ms\n", name.c_str(),
+                agg.first, agg.second * 1e-6);
+  }
+}
+
 core::GammaOptions FrameworkOptions(const CliOptions& o) {
   core::GammaOptions options = baselines::GammaDefaultOptions();
   if (o.placement == "unified") {
@@ -603,10 +619,13 @@ int main(int argc, char** argv) {
   params.num_warp_slots = o.warps;
   params.host_threads = o.host_threads;
   gpusim::Device device(params);
-  // The JSON profile embeds the kernel trace, so --profile-json implies
-  // tracing.
-  if (o.trace || !o.profile_json.empty()) device.set_trace_enabled(true);
-  if (o.trace_capacity > 0) device.set_trace_capacity(o.trace_capacity);
+  // The kernel breakdown and the JSON profile's kernel trace are views
+  // over the command log's kernel records.
+  if (o.trace || !o.profile_json.empty()) device.critpath().set_enabled(true);
+  if (o.trace_capacity > 0) {
+    device.trace().set_capacity(o.trace_capacity);
+    device.critpath().set_capacity(o.trace_capacity);
+  }
   if (!o.trace_out.empty()) device.trace().set_enabled(true);
   if (!o.critpath_out.empty()) device.critpath().set_enabled(true);
   // The plan profiler's resource attribution and binding columns come from
@@ -673,20 +692,7 @@ int main(int argc, char** argv) {
   }
   if (!o.plan_out.empty() && !WritePlan(o.plan_out, plan)) return 1;
 
-  if (o.trace) {
-    // Aggregate the trace by kernel name.
-    std::map<std::string, std::pair<std::size_t, double>> by_name;
-    for (const auto& rec : device.kernel_trace()) {
-      auto& agg = by_name[rec.name];
-      agg.first += 1;
-      agg.second += rec.total_cycles;
-    }
-    std::printf("kernel breakdown:\n");
-    for (const auto& [name, agg] : by_name) {
-      std::printf("  %-22s %6zu launches  %10.3f ms\n", name.c_str(),
-                  agg.first, agg.second * 1e-6);
-    }
-  }
+  if (o.trace) PrintKernelBreakdown(device.critpath());
   if (o.show_stats) {
     std::printf("device counters: %s\n", device.stats().ToString().c_str());
     std::printf("peak device: %.2f MiB, peak host: %.2f MiB\n",
@@ -711,13 +717,17 @@ int main(int argc, char** argv) {
       return 1;
     }
     out << device.profile().ToJson(device);
+    const auto& commands = device.critpath().commands();
+    const auto kernel_records = std::count_if(
+        commands.begin(), commands.end(), [](const prof::CommandRecord& rec) {
+          return rec.kind == prof::CommandRecord::Kind::kKernel;
+        });
     std::printf("profile written to %s (%zu phases, %zu kernel records",
                 o.profile_json.c_str(), device.profile().phases().size(),
-                device.kernel_trace().size());
-    if (device.dropped_kernel_records() > 0) {
+                static_cast<std::size_t>(kernel_records));
+    if (device.critpath().dropped() > 0) {
       std::printf(", %llu dropped",
-                  static_cast<unsigned long long>(
-                      device.dropped_kernel_records()));
+                  static_cast<unsigned long long>(device.critpath().dropped()));
     }
     std::printf(")\n");
   }

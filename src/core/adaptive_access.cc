@@ -7,6 +7,13 @@
 #include "gpusim/sanitizer.h"
 
 namespace gpm::core {
+namespace {
+
+// Fraction of the UM page buffer the graph may claim as "hot" pages (the
+// rest serves the embedding table and label regions).
+constexpr double kUmBufferFraction = 0.75;
+
+}  // namespace
 
 const char* GraphPlacementName(GraphPlacement placement) {
   switch (placement) {
@@ -135,7 +142,7 @@ void GraphAccessor::PlanExtension(
   heat_.FinalizeExtension();
 
   std::size_t n_u = static_cast<std::size_t>(
-      options_.um_buffer_fraction *
+      kUmBufferFraction *
       static_cast<double>(device_->unified().capacity_pages()));
   std::vector<uint32_t> hot = heat_.TopPages(n_u);
   std::fill(page_unified_.begin(), page_unified_.end(), 0);

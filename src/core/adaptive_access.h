@@ -49,9 +49,6 @@ class GraphAccessor {
  public:
   struct Options {
     GraphPlacement placement = GraphPlacement::kHybridAdaptive;
-    /// Fraction of the UM page buffer the graph may claim as "hot" pages
-    /// (the rest serves the embedding table and label regions).
-    double um_buffer_fraction = 0.75;
   };
 
   GraphAccessor(gpusim::Device* device, const graph::Graph* graph,

@@ -12,6 +12,9 @@ namespace gpm::core {
 namespace {
 
 constexpr std::size_t kRowsPerWarp = 256;
+// Cycles charged per embedding unit for the map function (canonical coding
+// of a k-unit embedding costs ~O(k^2) table lookups on device).
+constexpr double kMapCyclesPerUnit = 8.0;
 
 }  // namespace
 
@@ -62,7 +65,7 @@ Result<AggregationResult> Aggregate(const EmbeddingTable& table,
         std::size_t hi = std::min(rows, lo + kRowsPerWarp);
         table.ChargeColumnRead(w, len - 1, lo, hi - lo);
         w.ChargeSimtWork((hi - lo) * len,
-                         options.map_cycles_per_unit * len);
+                         kMapCyclesPerUnit * len);
         for (std::size_t r = lo; r < hi; ++r) {
           std::vector<Unit> emb = table.GetEmbedding(len - 1,
                                                      static_cast<RowIndex>(r));

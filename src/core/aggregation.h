@@ -29,9 +29,6 @@ struct AggregationOptions {
   /// Sorting backend for the canonical-code table; the pattern table can
   /// exceed device memory, which is what Optimization 3 addresses.
   SortOptions sort;
-  /// Cycles charged per embedding for the map function (canonical coding
-  /// of a k-unit embedding costs ~O(k^2) table lookups on device).
-  double map_cycles_per_unit = 8.0;
 };
 
 struct AggregationResult {

@@ -151,15 +151,16 @@ Result<CompiledRunResult> CompiledEngine::RunVertexPlan(
     // Aggregate by unlabeled induced shape, dividing each support by the
     // shape's connected-prefix ordering multiplicity.
     PatternTable pt;
-    AggregationOptions agg_options = engine_->options().aggregation;
-    agg_options.use_labels = false;
+    const bool use_labels = engine_->options().aggregation.use_labels;
+    engine_->mutable_options().aggregation.use_labels = false;
     if (prof != nullptr) {
       PlanProfLevelInput in;
       in.label = "aggregate";
       in.depth = plan.first_depth() + static_cast<int>(plan.levels.size());
       prof->BeginSegment(std::move(in));
     }
-    auto agg = Aggregate(*et, &engine_->accessor(), &pt, agg_options);
+    auto agg = engine_->Aggregation(*et, &pt);
+    engine_->mutable_options().aggregation.use_labels = use_labels;
     if (!agg.ok()) {
       if (prof != nullptr) prof->AbortRun();
       return agg.status();

@@ -13,6 +13,8 @@ namespace {
 using graph::VertexId;
 
 constexpr std::size_t kEntryBytes = sizeof(Unit) + sizeof(RowIndex);
+// Cycles charged per post_filter invocation.
+constexpr double kPostFilterCycles = 4.0;
 
 const char* KindName(TableKind kind) {
   return kind == TableKind::kVertex ? "vertex" : "edge";
@@ -510,7 +512,7 @@ Result<ExtensionStats> VertexExtend(EmbeddingTable* table,
         continue;  // label traffic charged batched above
       }
       if (spec.post_filter) {
-        w.ChargeCompute(options.post_filter_cycles);
+        w.ChargeCompute(kPostFilterCycles);
         if (!spec.post_filter(emb, cand)) continue;
       }
       out->push_back({cand, static_cast<RowIndex>(row)});
@@ -708,7 +710,7 @@ Result<ExtensionStats> EdgeExtend(EmbeddingTable* table,
         if (!IsCanonicalEdgeExtension(g, emb, cand)) continue;
       }
       if (spec.post_filter) {
-        w.ChargeCompute(options.post_filter_cycles);
+        w.ChargeCompute(kPostFilterCycles);
         if (!spec.post_filter(emb, cand)) continue;
       }
       out->push_back({cand, static_cast<RowIndex>(row)});

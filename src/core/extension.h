@@ -53,8 +53,6 @@ struct ExtensionOptions {
   std::size_t pool_bytes = 4ull << 20;
   /// Pool block size (paper: 8 KB).
   std::size_t block_bytes = 8192;
-  /// Cycles charged per post_filter invocation.
-  double post_filter_cycles = 4.0;
   /// Adaptive list intersection: gallop (binary-search the larger list)
   /// when list sizes are lopsided, merge otherwise. Disable to force
   /// merge-only intersection (ablation).
@@ -96,8 +94,8 @@ struct VertexExtensionSpec {
   bool require_ascending = false;
   /// Candidate must differ from every matched vertex.
   bool enforce_injective = true;
-  /// Optional extra predicate over (embedding, candidate); charged
-  /// `post_filter_cycles` per call.
+  /// Optional extra predicate over (embedding, candidate); charged a
+  /// fixed compute cost per call.
   std::function<bool(std::span<const Unit>, Unit)> post_filter;
 };
 

@@ -9,6 +9,8 @@ namespace gpm::core {
 namespace {
 
 constexpr std::size_t kRowsPerWarp = 256;
+// Cycles charged per predicate evaluation.
+constexpr double kPredicateCycles = 4.0;
 
 FilterStats MarkAndCompact(EmbeddingTable* table,
                            const std::vector<uint8_t>& keep,
@@ -52,7 +54,7 @@ FilterStats FilterEmbeddings(
       std::size_t lo = t * kRowsPerWarp;
       std::size_t hi = std::min(rows, lo + kRowsPerWarp);
       table->ChargeColumnRead(w, len - 1, lo, hi - lo);
-      w.ChargeSimtWork(hi - lo, options.predicate_cycles);
+      w.ChargeSimtWork(hi - lo, kPredicateCycles);
       for (std::size_t r = lo; r < hi; ++r) {
         std::vector<Unit> emb =
             table->GetEmbedding(len - 1, static_cast<RowIndex>(r));
@@ -84,7 +86,7 @@ FilterStats FilterByPattern(EmbeddingTable* table,
       std::size_t lo = t * kRowsPerWarp;
       std::size_t hi = std::min(rows, lo + kRowsPerWarp);
       w.DeviceRead((hi - lo) * sizeof(uint64_t));
-      w.ChargeSimtWork(hi - lo, options.predicate_cycles);
+      w.ChargeSimtWork(hi - lo, kPredicateCycles);
       for (std::size_t r = lo; r < hi; ++r) {
         marks[r] = invalid.count(codes[r]) ? 0 : 1;
       }

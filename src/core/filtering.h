@@ -25,8 +25,6 @@ struct FilterOptions {
   bool compress = true;
   /// Also drop ancestor rows that lost every descendant.
   bool prune_ancestors = true;
-  /// Cycles charged per predicate evaluation.
-  double predicate_cycles = 4.0;
 };
 
 /// The filtering primitive over embeddings: marks rows failing `keep`,

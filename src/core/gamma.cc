@@ -11,8 +11,9 @@ namespace gpm::core {
 namespace {
 
 // Phase names used for RunProfile attribution. Every primitive call on the
-// engine lands in exactly one of these, so the per-phase counter deltas sum
-// (with "prepare"/"init-table") to the run totals.
+// engine, including each one CompiledEngine makes, lands in exactly one of
+// these, so the per-phase counter deltas sum to the run totals and the
+// phase cycles to the clock (determinism_test checks every plan kind).
 constexpr char kPhasePrepare[] = "prepare";
 constexpr char kPhaseInitTable[] = "init-table";
 constexpr char kPhaseVertexExtension[] = "vertex-extension";

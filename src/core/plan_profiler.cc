@@ -175,18 +175,17 @@ void PlanProfiler::FinishRun() {
   in_run_ = false;
   finished_ = true;
   total_cycles_ = device_->now_cycles() - run_begin_cycles_;
-  dropped_commands_ =
-      device_->critpath().dropped() + device_->dropped_kernel_records();
+  dropped_commands_ = device_->critpath().dropped();
   partial_ = dropped_commands_ > 0;
   if (!device_->critpath().enabled()) return;
 
   // Windowed resource attribution: the critpath analyzer replays the
   // whole log (bit-exact) and attributes each marker-bracketed window;
-  // the fold over classes equals the window's cycles exactly.
+  // the fold over classes equals the window's cycles exactly. On an
+  // overflowed log only the windows closed before the cut are attributed.
   auto report = prof::Analyze(*device_);
   if (!report.ok()) return;
   attribution_available_ = true;
-  partial_ = partial_ || report.value().partial;
   for (PlanProfSegment& seg : segments_) {
     const prof::PhaseBottleneck* ph =
         report.value().FindPhase(MarkerName(run_seq_, seg.label));

@@ -654,14 +654,16 @@ Result<CritpathReport> Analyze(const CommandLog& log,
       open_phases.pop_back();
     }
   }
-  if (!open_phases.empty()) {
+  // An overflowed log is a prefix of the run: the cut may fall inside
+  // phases, which then get no entry. Only a complete log must balance.
+  if (!open_phases.empty() && log.dropped() == 0) {
     return Status::InvalidArgument(
         "critpath: phase-begin marker \"" + open_phases.back().first +
         "\" is never closed (unbalanced markers)");
   }
 
   CritpathReport report;
-  report.dropped_commands = log.dropped() + options.extra_dropped;
+  report.dropped_commands = log.dropped();
   report.partial = report.dropped_commands > 0;
   report.commands = cmds.size();
 
@@ -793,7 +795,6 @@ Result<CritpathReport> Analyze(const gpusim::Device& device) {
   AnalyzeOptions options;
   options.total_cycles = device.now_cycles();
   options.link_busy_cycles = device.streams().link_busy_cycles();
-  options.extra_dropped = device.dropped_kernel_records();
   return Analyze(device.critpath(), options);
 }
 

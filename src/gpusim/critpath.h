@@ -226,8 +226,8 @@ struct WhatIf {
 };
 
 struct CritpathReport {
-  /// True when the command log (or the device's kernel-record list)
-  /// overflowed: the DAG is a prefix of the run, the identity between
+  /// True when the command log overflowed: the DAG is a prefix of the
+  /// run, phases still open at the cut get no entry, the identity between
   /// critical path and end-to-end time no longer holds, and what-if
   /// projections are suppressed rather than computed from a truncated DAG.
   bool partial = false;
@@ -267,22 +267,23 @@ struct CritpathReport {
 struct AnalyzeOptions {
   double total_cycles = 0;       // device end-to-end clock
   double link_busy_cycles = 0;   // for the link-utilization gauge
-  uint64_t extra_dropped = 0;    // e.g. Device::dropped_kernel_records()
   /// Cost factors applied per class for the what-if panel, in addition to
   /// the always-present factor-1.0 identity row. Empty = default panel
   /// (each scalable class at 0.5).
   std::vector<WhatIf> whatifs;
 };
 
-/// Rebuilds the dependency DAG from `log` and analyzes it. Fails with
-/// InvalidArgument on malformed input: unbalanced phase begin/end markers
-/// or dependency indices that point forward (which would make the "DAG"
-/// cyclic).
+/// Rebuilds the dependency DAG from `log` and analyzes it. A log that
+/// dropped records is analyzed as a prefix of the run (see
+/// CritpathReport::partial). Fails with InvalidArgument on malformed input:
+/// unbalanced phase begin/end markers (an open phase is unbalanced only in
+/// a complete log) or dependency indices that point forward (which would
+/// make the "DAG" cyclic).
 Result<CritpathReport> Analyze(const CommandLog& log,
                                const AnalyzeOptions& options);
 
-/// Convenience overload pulling log, clock, link occupancy, and drop
-/// counters from a finished device.
+/// Convenience overload pulling log, clock, and link occupancy from a
+/// finished device.
 Result<CritpathReport> Analyze(const gpusim::Device& device);
 
 }  // namespace gpm::prof

@@ -17,10 +17,7 @@ Device::Device(SimParams params)
   // Observability armed from params so harnesses that construct the
   // Device behind a helper (benches) can opt in without plumbing calls.
   if (params_.record_commands) critpath_.set_enabled(true);
-  if (params_.record_timeline) {
-    trace_enabled_ = true;
-    trace_recorder_.set_enabled(true);
-  }
+  if (params_.record_timeline) trace_recorder_.set_enabled(true);
   // host_threads is a wall-clock knob only: the pool runs kernel record
   // phases, and ordered replay keeps results bit-identical to serial.
   if (params_.host_threads > 1) {
@@ -132,13 +129,8 @@ double Device::CopyAsync(StreamId stream, std::size_t bytes,
                                stream);
   }
   if (record_cmds) {
-    prof::CommandRecord rec;
-    rec.kind = prof::CommandRecord::Kind::kCopy;
-    rec.stream = stream;
-    rec.name = name;
-    rec.phase = current_phase();
-    rec.start = start;
-    rec.end = end;
+    prof::CommandRecord rec =
+        MakeCommand(prof::CommandRecord::Kind::kCopy, stream, name, start, end);
     rec.latency = params_.pcie_latency_cycles;
     rec.link_transfer = transfer;
     rec.link_ready = ready;

@@ -119,7 +119,9 @@ class Device {
 
   // -- gamma-prof -------------------------------------------------------------
 
-  /// Command log for critical-path analysis (see gpusim/critpath.h).
+  /// Command log: one record per timeline command (see gpusim/critpath.h)
+  /// and the device's only per-kernel record. The critical-path and plan
+  /// profiles and the run profile's kernel trace are all views over it.
   /// Disabled by default; `SimParams::record_commands` or
   /// `critpath().set_enabled(true)` turns it on. Recording is pure
   /// observation — simulated results are identical with it on or off.
@@ -145,25 +147,22 @@ class Device {
   /// (cheap); begin/end marker records are appended only while the command
   /// log is enabled, so the analyzer can attribute spans to phases.
   void BeginPhaseMark(const std::string& name) {
-    phase_stack_.push_back(name);
     if (critpath_.enabled()) {
-      prof::CommandRecord rec;
-      rec.kind = prof::CommandRecord::Kind::kPhaseBegin;
-      rec.name = name;
-      rec.start = rec.end = clock_cycles_;
-      critpath_.Append(std::move(rec));
+      critpath_.Append(MakeCommand(prof::CommandRecord::Kind::kPhaseBegin,
+                                   kDefaultStream, name, clock_cycles_,
+                                   clock_cycles_));
     }
+    phase_stack_.push_back(name);
   }
   void EndPhaseMark() {
     if (phase_stack_.empty()) return;
-    if (critpath_.enabled()) {
-      prof::CommandRecord rec;
-      rec.kind = prof::CommandRecord::Kind::kPhaseEnd;
-      rec.name = phase_stack_.back();
-      rec.start = rec.end = clock_cycles_;
-      critpath_.Append(std::move(rec));
-    }
+    std::string name = std::move(phase_stack_.back());
     phase_stack_.pop_back();
+    if (critpath_.enabled()) {
+      critpath_.Append(MakeCommand(prof::CommandRecord::Kind::kPhaseEnd,
+                                   kDefaultStream, std::move(name),
+                                   clock_cycles_, clock_cycles_));
+    }
   }
 
   /// Innermost open phase name, or "" outside every phase.
@@ -181,13 +180,9 @@ class Device {
   StreamId CreateStream() {
     StreamId id = streams_.CreateStream();
     if (critpath_.enabled()) {
-      prof::CommandRecord rec;
-      rec.kind = prof::CommandRecord::Kind::kCreateStream;
-      rec.stream = id;
-      rec.name = "create-stream";
-      rec.phase = current_phase();
-      rec.start = rec.end = streams_.cycles(id);
-      critpath_.Append(std::move(rec));
+      critpath_.Append(MakeCommand(prof::CommandRecord::Kind::kCreateStream,
+                                   id, "create-stream", streams_.cycles(id),
+                                   streams_.cycles(id)));
     }
     return id;
   }
@@ -222,13 +217,9 @@ class Device {
     clock_cycles_ = streams_.now_cycles();
     if (sanitizer_ != nullptr) sanitizer_->OnEventWait(stream, event.san_seq_);
     if (log) {
-      prof::CommandRecord rec;
-      rec.kind = prof::CommandRecord::Kind::kEventWait;
-      rec.stream = stream;
-      rec.name = "wait-event";
-      rec.phase = current_phase();
-      rec.start = before;
-      rec.end = streams_.cycles(stream);
+      prof::CommandRecord rec =
+          MakeCommand(prof::CommandRecord::Kind::kEventWait, stream,
+                      "wait-event", before, streams_.cycles(stream));
       rec.wait_pred = event.cp_cmd_;
       rec.wait_cycles = event.cycles();
       critpath_.Append(std::move(rec));
@@ -241,12 +232,9 @@ class Device {
     metrics_.MaybeSample(*this);
     if (sanitizer_ != nullptr) sanitizer_->OnSynchronize();
     if (critpath_.enabled()) {
-      prof::CommandRecord rec;
-      rec.kind = prof::CommandRecord::Kind::kSynchronize;
-      rec.name = "synchronize";
-      rec.phase = current_phase();
-      rec.start = rec.end = clock_cycles_;
-      critpath_.Append(std::move(rec));
+      critpath_.Append(MakeCommand(prof::CommandRecord::Kind::kSynchronize,
+                                   kDefaultStream, "synchronize",
+                                   clock_cycles_, clock_cycles_));
     }
     return clock_cycles_;
   }
@@ -259,14 +247,9 @@ class Device {
     streams_.FastForward(stream);
     if (sanitizer_ != nullptr) sanitizer_->OnFastForward(stream);
     if (log) {
-      prof::CommandRecord rec;
-      rec.kind = prof::CommandRecord::Kind::kFastForward;
-      rec.stream = stream;
-      rec.name = "fast-forward";
-      rec.phase = current_phase();
-      rec.start = before;
-      rec.end = streams_.cycles(stream);
-      critpath_.Append(std::move(rec));
+      critpath_.Append(MakeCommand(prof::CommandRecord::Kind::kFastForward,
+                                   stream, "fast-forward", before,
+                                   streams_.cycles(stream)));
     }
   }
 
@@ -281,17 +264,16 @@ class Device {
   }
 
   /// Rewinds the whole timeline to zero: every stream clock, the PCIe-link
-  /// state, and all time-derived observability state (kernel records,
-  /// timeline events, metrics samples) reset together. A partial rewind —
-  /// the old `clock_cycles_ = 0` — would leave recorder/sampler state
-  /// stamped with timestamps from the abandoned timeline and let them emit
-  /// non-monotonic series afterwards.
+  /// state, and all time-derived observability state (command log,
+  /// timeline events, metrics samples) reset together. A partial rewind
+  /// would leave recorder/sampler state stamped with timestamps from the
+  /// abandoned timeline and let them emit non-monotonic series afterwards.
   void ResetClock() {
     streams_.Reset();
     clock_cycles_ = 0;
     trace_recorder_.Clear();
     metrics_.Clear();
-    ClearTrace();
+    critpath_.Clear();
   }
 
   /// Adds host-side (CPU) work to the simulated timeline, e.g. flushing and
@@ -304,13 +286,9 @@ class Device {
     clock_cycles_ = streams_.now_cycles();
     metrics_.MaybeSample(*this);
     if (log) {
-      prof::CommandRecord rec;
-      rec.kind = prof::CommandRecord::Kind::kHostWork;
-      rec.stream = stream;
-      rec.name = "host-work";
-      rec.phase = current_phase();
-      rec.start = before;
-      rec.end = streams_.cycles(stream);
+      prof::CommandRecord rec =
+          MakeCommand(prof::CommandRecord::Kind::kHostWork, stream,
+                      "host-work", before, streams_.cycles(stream));
       rec.charge = cycles;
       rec.host_class =
           static_cast<int8_t>(EffectiveClass(ResourceClass::kCompute));
@@ -338,42 +316,6 @@ class Device {
 
   /// Peak device-memory usage including the UM page buffer reservation.
   std::size_t PeakDeviceBytes() const { return memory_.peak_used_bytes(); }
-
-  /// One completed kernel in the (optional) trace.
-  struct KernelRecord {
-    std::string name;
-    std::size_t tasks = 0;
-    double compute_makespan_cycles = 0;
-    double pcie_cycles = 0;
-    double total_cycles = 0;
-  };
-
-  /// Enables per-kernel record keeping (off by default). Records are
-  /// bounded by `trace_capacity()`; overflow is counted in
-  /// `dropped_kernel_records()` rather than growing without limit.
-  void set_trace_enabled(bool enabled) { trace_enabled_ = enabled; }
-  const std::vector<KernelRecord>& kernel_trace() const { return trace_; }
-  uint64_t dropped_kernel_records() const { return dropped_kernel_records_; }
-
-  /// Clears every recorded trace artifact: the kernel-record list, the
-  /// timeline recorder's events, and the gamma-prof command log together,
-  /// so the three views of the same timeline cannot diverge after a
-  /// partial clear.
-  void ClearTrace() {
-    trace_.clear();
-    dropped_kernel_records_ = 0;
-    trace_recorder_.Clear();
-    critpath_.Clear();
-  }
-
-  /// Caps the kernel-record list, the timeline recorder's event buffer,
-  /// and the gamma-prof command log at `capacity` entries each.
-  void set_trace_capacity(std::size_t capacity) {
-    trace_capacity_ = capacity;
-    trace_recorder_.set_capacity(capacity);
-    critpath_.set_capacity(capacity);
-  }
-  std::size_t trace_capacity() const { return trace_capacity_; }
 
   /// Runs `num_tasks` warp tasks through `fn(WarpCtx&, task_id)` on the
   /// default stream. Returns the kernel's simulated cycles (also added to
@@ -498,15 +440,10 @@ class Device {
     }
     streams_.set_cycles(stream, end_cycles);
     clock_cycles_ = streams_.now_cycles();
-    const double kernel_cycles = end_cycles - start_cycles;
     if (record_cmds) {
-      prof::CommandRecord rec;
-      rec.kind = prof::CommandRecord::Kind::kKernel;
-      rec.stream = stream;
-      rec.name = name;
-      rec.phase = current_phase();
-      rec.start = start_cycles;
-      rec.end = end_cycles;
+      prof::CommandRecord rec =
+          MakeCommand(prof::CommandRecord::Kind::kKernel, stream, name,
+                      start_cycles, end_cycles);
       rec.launch_cycles = params_.kernel_launch_cycles;
       rec.makespan = makespan;
       rec.busy = slot_busy[static_cast<std::size_t>(busiest_slot)];
@@ -528,14 +465,6 @@ class Device {
       }
       critpath_.Append(std::move(rec));
     }
-    if (trace_enabled_) {
-      if (trace_.size() < trace_capacity_) {
-        trace_.push_back(
-            {name, num_tasks, makespan, pcie_cycles, kernel_cycles});
-      } else {
-        ++dropped_kernel_records_;
-      }
-    }
     if (record_slots) {
       trace_recorder_.RecordSpan(TraceRecorder::Kind::kKernel, name,
                                  start_cycles, end_cycles, stream);
@@ -549,10 +478,26 @@ class Device {
       }
     }
     metrics_.MaybeSample(*this);
-    return kernel_cycles;
+    return end_cycles - start_cycles;
   }
 
  private:
+  /// A command record with the fields every kind shares: kind, stream,
+  /// name, the innermost open phase, and the [start, end] window. Callers
+  /// add their kind's cost decomposition before appending it.
+  prof::CommandRecord MakeCommand(prof::CommandRecord::Kind kind,
+                                  StreamId stream, std::string name,
+                                  double start, double end) const {
+    prof::CommandRecord rec;
+    rec.kind = kind;
+    rec.stream = stream;
+    rec.name = std::move(name);
+    rec.phase = current_phase();
+    rec.start = start;
+    rec.end = end;
+    return rec;
+  }
+
   /// Shared body of the explicit-transfer APIs: link acquisition, clock
   /// advance, trace span, and the gamma-prof command record.
   double CopyAsync(StreamId stream, std::size_t bytes, const char* name);
@@ -575,10 +520,6 @@ class Device {
   // Cached join of all stream clocks; UnifiedMemory::BindTrace holds a
   // pointer to it for stamping page events.
   double clock_cycles_ = 0;
-  bool trace_enabled_ = false;
-  std::size_t trace_capacity_ = TraceRecorder::kDefaultCapacity;
-  uint64_t dropped_kernel_records_ = 0;
-  std::vector<KernelRecord> trace_;
   prof::CommandLog critpath_;
   int sort_depth_ = 0;
   std::vector<std::string> phase_stack_;

@@ -72,20 +72,21 @@ std::string RunProfile::ToJson(const Device& device) const {
   }
   w.EndArray();
 
+  // The kernel trace is a view over the command log's kernel records.
   w.Key("kernel_trace").BeginArray();
-  for (const Device::KernelRecord& k : device.kernel_trace()) {
+  for (const prof::CommandRecord& k : device.critpath().commands()) {
+    if (k.kind != prof::CommandRecord::Kind::kKernel) continue;
     w.BeginObject();
     w.Key("name").Value(k.name);
     w.Key("tasks").Value(k.tasks);
-    w.Key("compute_makespan_cycles").Value(k.compute_makespan_cycles);
-    w.Key("pcie_cycles").Value(k.pcie_cycles);
-    w.Key("total_cycles").Value(k.total_cycles);
+    w.Key("compute_makespan_cycles").Value(k.makespan);
+    w.Key("pcie_cycles").Value(k.link_transfer);
+    w.Key("total_cycles").Value(k.end - k.start);
     w.EndObject();
   }
   w.EndArray();
-  // Kernel records are bounded by Device::trace_capacity(); overflow is
-  // counted, not silently truncated.
-  w.Key("kernel_trace_dropped").Value(device.dropped_kernel_records());
+  // The log is bounded; its overflow is counted, not silently truncated.
+  w.Key("kernel_trace_dropped").Value(device.critpath().dropped());
 
   w.EndObject();
   os << '\n';

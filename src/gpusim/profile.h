@@ -44,8 +44,9 @@ class RunProfile {
   void Clear() { phases_.clear(); }
 
   /// Full JSON document: run totals (clock, counters, peak memory), the
-  /// per-phase breakdown, and the per-kernel trace (empty unless tracing
-  /// was enabled on `device`). Pass the device the phases ran on.
+  /// per-phase breakdown, and the per-kernel trace rendered from the
+  /// kernel records of `device`'s command log (empty unless the log is
+  /// enabled). Pass the device the phases ran on.
   std::string ToJson(const Device& device) const;
 
  private:

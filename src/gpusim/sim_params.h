@@ -94,9 +94,9 @@ struct SimParams {
   /// simulated results.
   bool record_commands = false;
 
-  /// Arms the timeline recorder and per-kernel records at construction
-  /// (equivalent to set_trace_enabled(true) + trace().set_enabled(true)),
-  /// so harnesses that build the Device behind a helper can export traces.
+  /// Arms the timeline recorder at construction (equivalent to
+  /// trace().set_enabled(true)), so harnesses that build the Device behind
+  /// a helper can export traces.
   bool record_timeline = false;
 
   double CyclesToSeconds(double cycles) const {

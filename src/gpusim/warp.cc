@@ -9,18 +9,6 @@
 
 namespace gpm::gpusim {
 
-const char* AccessModeName(AccessMode mode) {
-  switch (mode) {
-    case AccessMode::kDeviceResident:
-      return "device";
-    case AccessMode::kUnified:
-      return "unified";
-    case AccessMode::kZeroCopy:
-      return "zero-copy";
-  }
-  return "?";
-}
-
 WarpCtx::WarpCtx(Device* device, std::size_t task_id)
     : device_(device), task_id_(task_id) {}
 

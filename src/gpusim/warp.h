@@ -62,8 +62,6 @@ enum class AccessMode : uint8_t {
   kZeroCopy,
 };
 
-const char* AccessModeName(AccessMode mode);
-
 /// Execution context of one warp task inside a kernel.
 ///
 /// Warps are the simulation granularity (paper §II-A: SIMT threads inside a

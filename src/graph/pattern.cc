@@ -45,14 +45,6 @@ bool Pattern::labeled() const {
   return false;
 }
 
-std::vector<int> Pattern::BackwardNeighbors(int i, int limit) const {
-  std::vector<int> out;
-  for (int j = 0; j < limit; ++j) {
-    if (HasEdge(i, j)) out.push_back(j);
-  }
-  return out;
-}
-
 std::vector<std::pair<int, int>> Pattern::EdgeList() const {
   std::vector<std::pair<int, int>> edges;
   for (int i = 0; i < n_; ++i) {

@@ -39,10 +39,6 @@ class Pattern {
   Label label(int i) const { return labels_[i]; }
   bool labeled() const;
 
-  /// Neighbors of pattern vertex `i` with index < `limit` (the already
-  /// matched prefix in a matching order).
-  std::vector<int> BackwardNeighbors(int i, int limit) const;
-
   /// Edges as (i, j) with i < j, lexicographic.
   std::vector<std::pair<int, int>> EdgeList() const;
 

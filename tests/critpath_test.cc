@@ -179,29 +179,44 @@ TEST(CritpathAnalyzeTest, HandBuiltSerialChainIsExact) {
 }
 
 TEST(CritpathAnalyzeTest, PartialLogSuppressesWhatIfs) {
-  CommandLog log;
-  log.set_enabled(true);
-  log.set_capacity(1);
-  log.Append(HostWork(0, 10));
-  log.Append(HostWork(10, 10));  // dropped
-  ASSERT_EQ(log.dropped(), 1u);
-  auto analyzed = Analyze(log, {});
-  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
-  EXPECT_TRUE(analyzed.value().partial);
-  EXPECT_EQ(analyzed.value().dropped_commands, 1u);
-  EXPECT_TRUE(analyzed.value().whatifs.empty());
-}
+  // Cut between two commands.
+  CommandLog between;
+  between.set_enabled(true);
+  between.set_capacity(1);
+  between.Append(HostWork(0, 10));
+  between.Append(HostWork(10, 10));  // dropped
 
-TEST(CritpathAnalyzeTest, ExtraDroppedAlsoMarksPartial) {
-  CommandLog log;
-  log.set_enabled(true);
-  log.Append(HostWork(0, 10));
-  AnalyzeOptions options;
-  options.extra_dropped = 3;  // e.g. kernel_trace_dropped > 0
-  auto analyzed = Analyze(log, options);
+  // Cut inside a phase: its end marker is dropped, so the log is a prefix
+  // with an open phase, not a malformed log.
+  CommandLog inside;
+  inside.set_enabled(true);
+  inside.set_capacity(5);
+  inside.Append(Marker(Kind::kPhaseBegin, "closed", 0));
+  inside.Append(HostWork(0, 10));
+  inside.Append(Marker(Kind::kPhaseEnd, "closed", 10));
+  inside.Append(Marker(Kind::kPhaseBegin, "cut", 10));
+  inside.Append(HostWork(10, 10));
+  inside.Append(HostWork(20, 10));                    // dropped
+  inside.Append(Marker(Kind::kPhaseEnd, "cut", 30));  // dropped
+
+  for (const CommandLog* log : {&between, &inside}) {
+    ASSERT_GT(log->dropped(), 0u);
+    auto analyzed = Analyze(*log, {});
+    ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+    EXPECT_TRUE(analyzed.value().partial);
+    EXPECT_EQ(analyzed.value().dropped_commands, log->dropped());
+    EXPECT_TRUE(analyzed.value().whatifs.empty());
+  }
+
+  // A phase closed before the cut keeps its exact entry; the phase open
+  // at the cut gets none.
+  auto analyzed = Analyze(inside, {});
   ASSERT_TRUE(analyzed.ok());
-  EXPECT_TRUE(analyzed.value().partial);
-  EXPECT_TRUE(analyzed.value().whatifs.empty());
+  const PhaseBottleneck* closed = analyzed.value().FindPhase("closed");
+  ASSERT_NE(closed, nullptr);
+  EXPECT_EQ(closed->cycles, 10.0);
+  EXPECT_EQ(FoldSum(closed->attribution), 10.0);
+  EXPECT_EQ(analyzed.value().FindPhase("cut"), nullptr);
 }
 
 /// Runs triangle counting through the engine on a recording device and

@@ -80,6 +80,27 @@ Result<core::CompiledPlan> CompileAlgo(Algo algo, const graph::Graph& g) {
   return Status::Internal("unknown algorithm");
 }
 
+// Every primitive call lands in exactly one engine phase, so the phase
+// records tile the run: each counter's phase deltas sum exactly to its
+// total, and the phase cycles sum to the clock up to rounding.
+void ExpectPhasesTileRun(const gpusim::Device& device,
+                         const std::string& label) {
+  gpusim::DeviceStats sum;
+  double cycles = 0;
+  for (const gpusim::PhaseRecord& ph : device.profile().phases()) {
+    for (const auto& f : gpusim::DeviceStats::Fields()) {
+      sum.*f.member += ph.delta.*f.member;
+    }
+    cycles += ph.cycles;
+  }
+  for (const auto& f : gpusim::DeviceStats::Fields()) {
+    EXPECT_EQ(sum.*f.member, device.stats().*f.member)
+        << label << ": counter " << f.name << " is not tiled by the phases";
+  }
+  EXPECT_NEAR(cycles, device.now_cycles(), 1e-9 * device.now_cycles())
+      << label << ": phase cycles do not tile the clock";
+}
+
 // Runs one algorithm end-to-end on a fresh device and returns the final
 // counters and clock.
 RunOutcome RunAlgo(Algo algo, const graph::Graph& g, int host_threads) {
@@ -89,6 +110,7 @@ RunOutcome RunAlgo(Algo algo, const graph::Graph& g, int host_threads) {
   EXPECT_TRUE(engine.Prepare().ok());
   EXPECT_TRUE(plan.ok());
   EXPECT_TRUE(core::CompiledEngine(&engine).Run(plan.value()).ok());
+  ExpectPhasesTileRun(device, AlgoName(algo));
   return {device.stats().Snapshot(), device.now_cycles()};
 }
 

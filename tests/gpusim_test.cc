@@ -267,23 +267,28 @@ TEST(HostArrayTest, ReadReturnsLiveData) {
   EXPECT_GT(device.stats().um_page_faults, 0u);
 }
 
+// The kernel trace is a view over the command log's kernel records.
 TEST(DeviceTest, TraceRecordsNamedKernels) {
   Device device(SmallParams());
-  device.set_trace_enabled(true);
-  device.LaunchKernel(3, [](WarpCtx& w, std::size_t) {
+  device.critpath().set_enabled(true);
+  const double alpha_cycles = device.LaunchKernel(3, [](WarpCtx& w,
+                                                        std::size_t) {
     w.ChargeCompute(100);
   }, "alpha");
   device.LaunchKernel(1, [](WarpCtx& w, std::size_t) {
     w.ZeroCopyRead(1024);
   }, "beta");
-  ASSERT_EQ(device.kernel_trace().size(), 2u);
-  EXPECT_EQ(device.kernel_trace()[0].name, "alpha");
-  EXPECT_EQ(device.kernel_trace()[0].tasks, 3u);
-  EXPECT_GT(device.kernel_trace()[0].total_cycles, 0.0);
-  EXPECT_EQ(device.kernel_trace()[1].name, "beta");
-  EXPECT_GT(device.kernel_trace()[1].pcie_cycles, 0.0);
-  device.ClearTrace();
-  EXPECT_TRUE(device.kernel_trace().empty());
+  const auto& cmds = device.critpath().commands();
+  ASSERT_EQ(cmds.size(), 2u);
+  EXPECT_EQ(cmds[0].kind, prof::CommandRecord::Kind::kKernel);
+  EXPECT_EQ(cmds[0].name, "alpha");
+  EXPECT_EQ(cmds[0].tasks, 3u);
+  EXPECT_GT(alpha_cycles, 0.0);
+  EXPECT_EQ(cmds[0].end - cmds[0].start, alpha_cycles);
+  EXPECT_EQ(cmds[1].name, "beta");
+  EXPECT_GT(cmds[1].link_transfer, 0.0);
+  device.ResetClock();
+  EXPECT_TRUE(device.critpath().commands().empty());
 }
 
 TEST(DeviceTest, TraceOffByDefault) {
@@ -291,7 +296,8 @@ TEST(DeviceTest, TraceOffByDefault) {
   device.LaunchKernel(1, [](WarpCtx& w, std::size_t) {
     w.ChargeCompute(1);
   });
-  EXPECT_TRUE(device.kernel_trace().empty());
+  EXPECT_FALSE(device.critpath().enabled());
+  EXPECT_TRUE(device.critpath().commands().empty());
 }
 
 TEST(SimParamsTest, PresetsAreConsistent) {
@@ -417,7 +423,7 @@ TEST(ProfileTest, NullProfileScopeIsNoOp) {
 
 TEST(ProfileTest, ToJsonCarriesTotalsPhasesAndTrace) {
   Device device(SmallParams());
-  device.set_trace_enabled(true);
+  device.critpath().set_enabled(true);
   {
     PhaseScope scope(&device, &device.profile(), "alpha");
     device.LaunchKernel(2, [](WarpCtx& w, std::size_t) {

@@ -156,25 +156,35 @@ TEST(TraceRecorderTest, ChromeJsonBalancedWithAwkwardSpans) {
   EXPECT_EQ(total, 4u);  // all four spans closed exactly once
 }
 
-TEST(DeviceTraceTest, KernelRecordListIsBounded) {
+// The profile's kernel trace is rendered from the command log, so the
+// log's capacity bounds it and the log's drop count is its drop count.
+TEST(DeviceTraceTest, KernelTraceIsBoundedByCommandLog) {
   Device device(SmallParams());
-  device.set_trace_enabled(true);
-  device.set_trace_capacity(2);
+  device.critpath().set_enabled(true);
+  device.critpath().set_capacity(2);
+  std::vector<double> kernel_cycles;
   for (int i = 0; i < 5; ++i) {
-    device.LaunchKernel(1, [](WarpCtx& w, std::size_t) {
-      w.ChargeCompute(10);
-    });
+    kernel_cycles.push_back(device.LaunchKernel(1, [i](WarpCtx& w,
+                                                       std::size_t) {
+      w.ChargeCompute(10.0 * (i + 1));
+    }));
   }
-  EXPECT_EQ(device.kernel_trace().size(), 2u);
-  EXPECT_EQ(device.dropped_kernel_records(), 3u);
+  EXPECT_EQ(device.critpath().commands().size(), 2u);
+  EXPECT_EQ(device.critpath().dropped(), 3u);
 
   minijson::Value doc;
   ASSERT_TRUE(minijson::Parse(device.profile().ToJson(device), &doc));
   EXPECT_DOUBLE_EQ(doc.Find("kernel_trace_dropped")->number, 3.0);
-  EXPECT_EQ(doc.Find("kernel_trace")->array.size(), 2u);
+  const minijson::Value* trace = doc.Find("kernel_trace");
+  ASSERT_EQ(trace->array.size(), 2u);
+  for (std::size_t i = 0; i < trace->array.size(); ++i) {
+    EXPECT_EQ(trace->array[i].Find("total_cycles")->number,
+              kernel_cycles[i]);
+    EXPECT_EQ(trace->array[i].Find("tasks")->number, 1.0);
+  }
 
-  device.ClearTrace();
-  EXPECT_EQ(device.dropped_kernel_records(), 0u);
+  device.ResetClock();
+  EXPECT_EQ(device.critpath().dropped(), 0u);
 }
 
 TEST(DeviceTraceTest, KernelSlotAndUmEventsLandOnTracks) {
@@ -249,7 +259,7 @@ TEST(EngineTraceTest, QuickstartTimelinePhasesCoverKernels) {
   params.device_memory_bytes = 16ull << 20;
   Device device(params);
   device.trace().set_enabled(true);
-  device.set_trace_capacity(1u << 20);
+  device.trace().set_capacity(1u << 20);
 
   core::GammaEngine engine(&device, &g, {});
   ASSERT_TRUE(engine.Prepare().ok());
