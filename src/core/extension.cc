@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <unordered_map>
 
 #include "common/logging.h"
@@ -519,17 +520,6 @@ Result<ExtensionStats> VertexExtend(EmbeddingTable* table,
     }
   };
 
-  auto intersect = [&options](gpusim::WarpCtx& w,
-                              std::span<const VertexId> a,
-                              std::span<const VertexId> b,
-                              std::vector<VertexId>* out) {
-    if (options.adaptive_intersection) {
-      IntersectAdaptive(w, a, b, out);
-    } else {
-      IntersectSorted(w, a, b, out);
-    }
-  };
-
   RowRangeGenerator generate = [&](gpusim::WarpCtx& w, std::size_t lo,
                                    std::size_t hi,
                                    std::vector<Emit>* out) -> std::size_t {
@@ -546,15 +536,26 @@ Result<ExtensionStats> VertexExtend(EmbeddingTable* table,
           merged.assign(adj.begin(), adj.end());
           first = false;
         } else {
-          intersect(w, merged, adj, &scratch);
+          IntersectAdaptive(w, merged, adj, &scratch);
           merged.swap(scratch);
         }
+      }
+      // A multi-row group marks L_m in the host thread's bitmap once and
+      // probes each row's list against it, charged as the same adaptive
+      // intersection.
+      std::optional<MarkedSet> marked;
+      if (last_included && hi - lo >= 2) {
+        marked.emplace(merged, g.num_vertices());
       }
       for (std::size_t r = lo; r < hi; ++r) {
         std::span<const Unit> emb = flat.row(r);
         if (last_included) {
           auto adj = accessor->ReadAdjacency(w, emb[len - 1]);
-          intersect(w, merged, adj, &cands);
+          if (marked) {
+            marked->Intersect(w, adj, &cands);
+          } else {
+            IntersectAdaptive(w, merged, adj, &cands);
+          }
         } else {
           cands.assign(merged.begin(), merged.end());
           w.ChargeSimtWork(merged.size(), 0.25);
@@ -576,7 +577,7 @@ Result<ExtensionStats> VertexExtend(EmbeddingTable* table,
           if (union_mode) {
             UnionSorted(w, merged, adj, &scratch);
           } else {
-            intersect(w, merged, adj, &scratch);
+            IntersectAdaptive(w, merged, adj, &scratch);
           }
           merged.swap(scratch);
         }

@@ -53,10 +53,6 @@ struct ExtensionOptions {
   std::size_t pool_bytes = 4ull << 20;
   /// Pool block size (paper: 8 KB).
   std::size_t block_bytes = 8192;
-  /// Adaptive list intersection: gallop (binary-search the larger list)
-  /// when list sizes are lopsided, merge otherwise. Disable to force
-  /// merge-only intersection (ablation).
-  bool adaptive_intersection = true;
   /// Count-only mode: the extension tallies surviving candidates but
   /// materializes no new column (no pool traffic, no flush). The standard
   /// final-level optimization for counting workloads — the paper's

@@ -59,8 +59,8 @@ std::size_t UnifiedMemory::PrefetchPage(RegionId region,
                                         std::size_t offset) {
   uint64_t page = offset / params_.um_page_bytes;
   uint64_t key = PageKey(region, page);
-  if (resident_.count(key) > 0) {
-    Touch(key);
+  if (auto it = resident_.find(key); it != resident_.end()) {
+    lru_.splice(lru_.begin(), lru_, it->second);
     return 0;
   }
   InsertPage(key);
@@ -85,11 +85,6 @@ void UnifiedMemory::InvalidateRegion(RegionId region) {
 bool UnifiedMemory::IsResident(RegionId region, std::size_t offset) const {
   return resident_.count(PageKey(region, offset / params_.um_page_bytes)) >
          0;
-}
-
-void UnifiedMemory::Touch(uint64_t key) {
-  auto it = resident_.find(key);
-  lru_.splice(lru_.begin(), lru_, it->second);
 }
 
 void UnifiedMemory::InsertPage(uint64_t key) {
@@ -129,7 +124,7 @@ AccessCharge UnifiedMemory::Access(RegionId region, std::size_t offset,
       charge.hit_cycles += params_.device_mem_latency_cycles +
                            static_cast<double>(span) /
                                params_.device_bytes_per_cycle;
-      Touch(key);
+      lru_.splice(lru_.begin(), lru_, it->second);
       TracePage(trace_, now_cycles_, TraceRecorder::Kind::kUmHit, region, p);
     } else {
       // Page fault: fault handling plus whole-page migration.

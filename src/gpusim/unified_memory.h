@@ -117,7 +117,6 @@ class UnifiedMemory {
     return (static_cast<uint64_t>(region) << 48) | page;
   }
 
-  void Touch(uint64_t key);
   void InsertPage(uint64_t key);
 
   const SimParams& params_;

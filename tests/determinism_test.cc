@@ -16,7 +16,9 @@
 
 #include <set>
 #include <string>
+#include <vector>
 
+#include "baselines/cpu_ref.h"
 #include "core/compiled_engine.h"
 #include "core/gamma.h"
 #include "core/pattern_compiler.h"
@@ -62,6 +64,7 @@ const char* AlgoName(Algo a) {
 struct RunOutcome {
   gpusim::DeviceStats stats;
   double cycles = 0;
+  uint64_t embeddings = 0;
 };
 
 Result<core::CompiledPlan> CompileAlgo(Algo algo, const graph::Graph& g) {
@@ -109,9 +112,11 @@ RunOutcome RunAlgo(Algo algo, const graph::Graph& g, int host_threads) {
   core::GammaEngine engine(&device, &g, {});
   EXPECT_TRUE(engine.Prepare().ok());
   EXPECT_TRUE(plan.ok());
-  EXPECT_TRUE(core::CompiledEngine(&engine).Run(plan.value()).ok());
+  auto run = core::CompiledEngine(&engine).Run(plan.value());
+  EXPECT_TRUE(run.ok());
   ExpectPhasesTileRun(device, AlgoName(algo));
-  return {device.stats().Snapshot(), device.now_cycles()};
+  return {device.stats().Snapshot(), device.now_cycles(),
+          run.ok() ? run.value().embeddings : 0};
 }
 
 void ExpectBitIdentical(const RunOutcome& a, const RunOutcome& b,
@@ -143,6 +148,36 @@ TEST(DeterminismTest, HostThreadPoolIsBitIdentical) {
     ExpectBitIdentical(serial, pooled,
                        std::string(AlgoName(algo)) + " 1 vs 4 host threads");
   }
+}
+
+// Pre-merge groups mark their hoisted prefix in a scratch bitmap that
+// each host thread keeps across runs, sized for the largest graph it has
+// seen and unmarked word by word, never cleared wholesale. A large graph,
+// a small one, then the large one again must leave no mark behind, on one
+// thread and on a pool: counts match the CPU oracle, and the counters and
+// clock match the serial run and the large graph's first run.
+TEST(DeterminismTest, ScratchBitmapCarriesNothingAcrossRuns) {
+  Rng rng(11);
+  const graph::Graph large = graph::PowerLaw(3000, 24000, 0.6, &rng);
+  const graph::Graph small = TestGraph();
+  const graph::Graph* graphs[] = {&large, &small, &large};
+  std::vector<RunOutcome> serial;
+  for (int host_threads : {1, 4}) {
+    for (std::size_t i = 0; i < std::size(graphs); ++i) {
+      const graph::Graph& g = *graphs[i];
+      const std::string label = "run " + std::to_string(i) + " at " +
+                                std::to_string(host_threads) + " threads";
+      RunOutcome run = RunAlgo(Algo::kKcl, g, host_threads);
+      EXPECT_EQ(run.embeddings, baselines::CpuKClique(g, 4, {}).count)
+          << label;
+      if (host_threads == 1) {
+        serial.push_back(run);
+      } else {
+        ExpectBitIdentical(serial[i], run, label + " vs serial");
+      }
+    }
+  }
+  ExpectBitIdentical(serial[0], serial[2], "large graph, first vs last run");
 }
 
 // With the double-buffered pipeline (num_streams >= 2) every extension

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <string>
+
+#include "common/random.h"
 #include "core/intersection.h"
 #include "gpusim/device.h"
 
@@ -124,6 +129,133 @@ TEST(IntersectionTest, BinaryContainsProbes) {
     EXPECT_FALSE(BinaryContains(w, list, 501));
     EXPECT_GT(w.cycles(), 0.0);
   });
+}
+
+// n distinct ids below `universe`, ascending.
+std::vector<VertexId> RandomList(Rng* rng, std::size_t n, VertexId universe) {
+  std::vector<bool> taken(universe, false);
+  std::vector<VertexId> list;
+  while (list.size() < n) {
+    VertexId x = static_cast<VertexId>(rng->NextBounded(universe));
+    if (!taken[x]) {
+      taken[x] = true;
+      list.push_back(x);
+    }
+  }
+  std::sort(list.begin(), list.end());
+  return list;
+}
+
+// The charge formulas the primitives have always used, in cycles.
+double Steps(std::size_t elems, int warp_size) {
+  return static_cast<double>((elems + warp_size - 1) / warp_size);
+}
+double MergeCycles(std::size_t a, std::size_t b, int warp_size) {
+  return Steps(a + b, warp_size);
+}
+double GallopCycles(std::size_t a, std::size_t b, int warp_size) {
+  const std::size_t large = std::max(a, b);
+  const double probes =
+      large == 0 ? 1.0 : std::log2(static_cast<double>(large) + 1);
+  return Steps(std::min(a, b), warp_size) * probes;
+}
+double AdaptiveCycles(std::size_t a, std::size_t b, int warp_size) {
+  const std::size_t small = std::min(a, b);
+  if (small == 0) return 0;
+  return std::max(a, b) / small >= kGallopRatio
+             ? GallopCycles(a, b, warp_size)
+             : MergeCycles(a, b, warp_size);
+}
+
+using Primitive = void (*)(gpusim::WarpCtx&, std::span<const VertexId>,
+                           std::span<const VertexId>,
+                           std::vector<VertexId>*);
+using Formula = double (*)(std::size_t, std::size_t, int);
+
+void ExpectSameOps(const gpusim::WarpTaskLog& got,
+                   const gpusim::WarpTaskLog& want,
+                   const std::string& label) {
+  ASSERT_EQ(got.ops.size(), want.ops.size()) << label;
+  for (std::size_t i = 0; i < got.ops.size(); ++i) {
+    EXPECT_EQ(got.ops[i].kind, want.ops[i].kind) << label;
+    EXPECT_EQ(got.ops[i].id, want.ops[i].id) << label;
+    EXPECT_EQ(got.ops[i].a, want.ops[i].a) << label;
+    EXPECT_EQ(got.ops[i].b, want.ops[i].b) << label;
+    EXPECT_EQ(got.ops[i].d, want.ops[i].d) << label;
+  }
+  EXPECT_TRUE(got.callbacks.empty()) << label;
+}
+
+// Every primitive against std::set_intersection and its charge formula,
+// and MarkedSet against IntersectAdaptive, over random lists whose sizes
+// straddle the 8-element blocks, the warp width and every size-ratio
+// threshold (probe 4, charge gallop 16, host gallop 32), in both orders.
+TEST(IntersectionTest, DifferentialAgainstSetIntersection) {
+  const std::size_t kSizes[] = {0, 1, 7, 8, 9, 16, 63, 64, 65, 1000};
+  const std::size_t kRatios[] = {1, 2, 4, 5, 15, 16, 17, 31, 32, 33, 64};
+  const struct {
+    const char* name;
+    Primitive fn;
+    Formula cycles;
+  } kPrimitives[] = {
+      {"IntersectSorted", IntersectSorted, MergeCycles},
+      {"IntersectGalloping", IntersectGalloping, GallopCycles},
+      {"IntersectAdaptive", IntersectAdaptive, AdaptiveCycles},
+  };
+  gpusim::Device device(SmallParams());
+  const int warp_size = device.params().warp_size;
+  Rng rng(20231);
+  for (std::size_t small : kSizes) {
+    for (std::size_t ratio : kRatios) {
+      const std::size_t large = small == 0 ? ratio - 1 : small * ratio;
+      // About half the shorter list's ids also sit in the longer one.
+      const auto universe = static_cast<VertexId>(2 * large + small + 1);
+      const std::vector<VertexId> s = RandomList(&rng, small, universe);
+      const std::vector<VertexId> l = RandomList(&rng, large, universe);
+      for (bool swapped : {false, true}) {
+        const std::vector<VertexId>& a = swapped ? l : s;
+        const std::vector<VertexId>& b = swapped ? s : l;
+        const std::string label = std::to_string(a.size()) + " x " +
+                                  std::to_string(b.size());
+        std::vector<VertexId> want;
+        std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
+                              std::back_inserter(want));
+        for (const auto& p : kPrimitives) {
+          gpusim::WarpCtx w(&device, 0);
+          std::vector<VertexId> out{42};  // stale contents are replaced
+          p.fn(w, a, b, &out);
+          EXPECT_EQ(out, want) << p.name << " " << label;
+          const double cycles = p.cycles(a.size(), b.size(), warp_size);
+          EXPECT_EQ(w.cycles(), cycles) << p.name << " " << label;
+          gpusim::ResourceCycles classes{};
+          classes[static_cast<std::size_t>(gpusim::ResourceClass::kCompute)] =
+              cycles;
+          EXPECT_EQ(w.class_cycles(), classes) << p.name << " " << label;
+        }
+
+        // The probe path: `a` marked, `b` probed (or intersected by the
+        // kernel when more than 4x longer).
+        gpusim::WarpTaskLog adaptive_log, marked_log;
+        gpusim::WarpCtx adaptive_rec(&device, 0, &adaptive_log);
+        gpusim::WarpCtx marked_rec(&device, 0, &marked_log);
+        gpusim::WarpCtx adaptive(&device, 0), marked(&device, 0);
+        std::vector<VertexId> adaptive_out, marked_out{42};
+        IntersectAdaptive(adaptive, a, b, &adaptive_out);
+        IntersectAdaptive(adaptive_rec, a, b, &adaptive_out);
+        {
+          MarkedSet set(a, universe);
+          set.Intersect(marked, b, &marked_out);
+          EXPECT_EQ(marked_out, want) << "MarkedSet " << label;
+          set.Intersect(marked_rec, b, &marked_out);
+        }
+        EXPECT_EQ(marked_out, adaptive_out) << "MarkedSet " << label;
+        EXPECT_EQ(marked.cycles(), adaptive.cycles()) << "MarkedSet " << label;
+        EXPECT_EQ(marked.class_cycles(), adaptive.class_cycles())
+            << "MarkedSet " << label;
+        ExpectSameOps(marked_log, adaptive_log, "MarkedSet " + label);
+      }
+    }
+  }
 }
 
 }  // namespace

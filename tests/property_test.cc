@@ -277,22 +277,6 @@ TEST_P(CrossFeatureTest, FpmInvariantAcrossWriteStrategies) {
   }
 }
 
-TEST_P(CrossFeatureTest, AdaptiveIntersectionPreservesCounts) {
-  graph::Graph g = SampleGraph(GetParam());
-  uint64_t counts[2];
-  for (int adaptive = 0; adaptive < 2; ++adaptive) {
-    gpusim::Device device(TestParams());
-    core::GammaOptions options;
-    options.extension.adaptive_intersection = adaptive == 1;
-    core::GammaEngine engine(&device, &g, options);
-    ASSERT_TRUE(engine.Prepare().ok());
-    auto r = RunPlan(&engine, KClique(g, 4));
-    ASSERT_TRUE(r.ok());
-    counts[adaptive] = r.value().embeddings;
-  }
-  EXPECT_EQ(counts[0], counts[1]);
-}
-
 TEST_P(CrossFeatureTest, SymmetricTimesAutEqualsPlainEmbeddings) {
   graph::Graph g = SampleGraph(GetParam());
   for (const graph::Pattern& q :
