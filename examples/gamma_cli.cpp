@@ -7,15 +7,19 @@
 //   gamma_cli --dataset CP --task sm --query 2 --placement zerocopy
 //   gamma_cli --dataset ER --task fpm --minsup 300 --strategy naive
 //   gamma_cli --graph my_edges.txt --task motif --k 3
+//   gamma_cli --dataset CP --task kcl --k 4 --observe profile,critpath
 #include <algorithm>
+#include <array>
 #include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -35,6 +39,12 @@ namespace {
 
 using namespace gpm;
 
+// The documents --observe writes, named by the middle word of their schema:
+// gamma.<name>.v1 goes to <out-dir>/<name>.json.
+constexpr std::array<std::string_view, 8> kDocuments = {
+    "plan",    "profile",    "trace",    "critpath",
+    "metrics", "adaptivity", "planprof", "check"};
+
 struct CliOptions {
   std::string dataset = "CP";
   std::string graph_path;
@@ -44,12 +54,10 @@ struct CliOptions {
   int query = 1;
   std::string pattern_text;
   std::string pattern_preset;
-  std::string plan_out;
   std::string verify_plan_path;
   bool verify_plan = false;
   bool verify_json = false;
   bool plan_auto = false;
-  std::string planprof_out;
   bool explain = false;
   bool explain_analyze = false;
   int fpm_edges = 3;
@@ -65,16 +73,12 @@ struct CliOptions {
   int host_threads = 1;
   bool show_stats = false;
   bool trace = false;
-  std::string profile_json;
-  std::string trace_out;
-  std::string critpath_out;
-  std::string metrics_out;
-  std::string adaptivity_out;
+  std::set<std::string> observe;  // names from kDocuments
+  std::string out_dir = ".";
   std::size_t trace_capacity = 0;  // 0 = keep the default
   double metrics_interval = 100000;
   bool check = false;
   std::string check_list;  // empty = all checkers
-  std::string check_out;
 };
 
 void Usage() {
@@ -94,8 +98,6 @@ void Usage() {
       "                     path3 | path4 | cycle4 | cycle5 | star3 |\n"
       "                     diamond | tailed-triangle | q1 | q2 | q3.\n"
       "                     Implies --task sm\n"
-      "  --plan-out F       write the compiled gamma.plan.v1 plan JSON\n"
-      "                     (any task) to F\n"
       "  --verify-plan F    load a gamma.plan.v1 document from F and run\n"
       "                     the static soundness verifier against the\n"
       "                     selected graph without executing anything.\n"
@@ -107,13 +109,6 @@ void Usage() {
       "                     cardinality order, automatic symmetry\n"
       "                     breaking, statistics-driven start mode and\n"
       "                     per-level write strategies\n"
-      "  --planprof-out F   write a gamma.planprof.v1 plan-execution\n"
-      "                     audit: per-level estimated vs actual rows\n"
-      "                     (Q-error), candidates and selectivity,\n"
-      "                     strategy provenance, resource-class cycle\n"
-      "                     attribution, and warp-slot load imbalance.\n"
-      "                     Observation only: a profiled run is\n"
-      "                     bit-identical in cycles and counters\n"
       "  --explain          print the compiled plan as an aligned table\n"
       "                     (levels, estimates, strategies) and exit\n"
       "                     without running\n"
@@ -139,35 +134,32 @@ void Usage() {
       "                     all simulated output stays bit-identical)\n"
       "  --stats            print hardware counters\n"
       "  --trace            print per-kernel cycle breakdown\n"
-      "  --profile-json F   write the run profile (per-phase cycles and\n"
-      "                     memory traffic, totals, kernel trace) to F\n"
-      "  --trace-out F      write a Chrome trace-event JSON timeline\n"
-      "                     (kernels, phases, warp slots, UM page events;\n"
-      "                     open in Perfetto or chrome://tracing)\n"
       "  --trace-capacity N cap buffered trace events / timeline commands\n"
       "                     (default 65536 events, 2^20 commands; overflow\n"
       "                     counted, not stored)\n"
-      "  --critpath-out F   write a gamma.critpath.v1 analysis: critical\n"
-      "                     path over the stream/event/kernel DAG, per-span\n"
-      "                     slack, per-phase binding resource, and what-if\n"
-      "                     projections (PCIe x2, sort x2, ...). On a\n"
-      "                     single-stream run the critical path equals the\n"
-      "                     end-to-end cycle count exactly\n"
-      "  --metrics-out F    write a gamma.metrics.v1 counter time-series\n"
       "  --metrics-interval N  metrics sampling interval in simulated\n"
       "                     cycles (default 100000)\n"
-      "  --adaptivity-out F write a gamma.adaptivity.v1 audit: one record\n"
-      "                     per extension with the hybrid's heat/N_u\n"
-      "                     decision, actual traffic, and counterfactual\n"
-      "                     unified-only / zerocopy-only shadow costs\n"
-      "                     (host placements only; also enables the\n"
-      "                     --stats adaptivity summary line)\n"
       "  --check[=LIST]     run under gpusim-check (the compute-sanitizer\n"
       "                     analog); LIST is a comma-separated subset of\n"
       "                     memcheck,initcheck,racecheck (default all).\n"
       "                     Prints a report and exits 2 on any finding\n"
-      "  --check-out F      write the gamma.check.v1 report JSON to F\n"
-      "                     (implies --check)");
+      "  --observe LIST     write each listed gamma.<name>.v1 document to\n"
+      "                     DIR/<name>.json; LIST is a comma-separated\n"
+      "                     subset of:\n"
+      "                       plan        compiled plan (also with --explain)\n"
+      "                       profile     per-phase cycles, traffic, kernels\n"
+      "                       trace       timeline for Perfetto\n"
+      "                       critpath    critical path, binding resource,\n"
+      "                                   what-if projections\n"
+      "                       metrics     counter time-series\n"
+      "                       adaptivity  hybrid placement audit (host\n"
+      "                                   placements only)\n"
+      "                       planprof    per-level estimates vs actuals\n"
+      "                       check       gpusim-check report (implies\n"
+      "                                   --check)\n"
+      "                     Observation only: cycles and counters stay\n"
+      "                     bit-identical\n"
+      "  --out-dir DIR      existing directory for --observe (default .)");
 }
 
 bool Parse(int argc, char** argv, CliOptions* o) {
@@ -208,8 +200,6 @@ bool Parse(int argc, char** argv, CliOptions* o) {
       o->pattern_text = next();
     } else if (a == "--pattern-preset") {
       o->pattern_preset = next();
-    } else if (a == "--plan-out") {
-      o->plan_out = next();
     } else if (a == "--verify-plan") {
       o->verify_plan = true;
       o->verify_plan_path = next();
@@ -219,8 +209,6 @@ bool Parse(int argc, char** argv, CliOptions* o) {
       o->verify_plan_path = next();
     } else if (a == "--plan-auto") {
       o->plan_auto = true;
-    } else if (a == "--planprof-out") {
-      o->planprof_out = next();
     } else if (a == "--explain") {
       o->explain = true;
     } else if (a == "--explain-analyze") {
@@ -255,28 +243,26 @@ bool Parse(int argc, char** argv, CliOptions* o) {
       o->show_stats = true;
     } else if (a == "--trace") {
       o->trace = true;
-    } else if (a == "--profile-json") {
-      o->profile_json = next();
-    } else if (a == "--trace-out") {
-      o->trace_out = next();
-    } else if (a == "--critpath-out") {
-      o->critpath_out = next();
+    } else if (a == "--observe") {
+      std::istringstream names(next());
+      for (std::string name; value_ok && std::getline(names, name, ',');) {
+        if (std::ranges::find(kDocuments, name) == kDocuments.end()) {
+          reject();
+        } else {
+          o->observe.insert(name);
+        }
+      }
+    } else if (a == "--out-dir") {
+      o->out_dir = next();
     } else if (a == "--trace-capacity") {
       number(&o->trace_capacity);
-    } else if (a == "--metrics-out") {
-      o->metrics_out = next();
     } else if (a == "--metrics-interval") {
       number(&o->metrics_interval);
-    } else if (a == "--adaptivity-out") {
-      o->adaptivity_out = next();
     } else if (a == "--check") {
       o->check = true;
     } else if (a.rfind("--check=", 0) == 0) {
       o->check = true;
       o->check_list = a.substr(std::strlen("--check="));
-    } else if (a == "--check-out") {
-      o->check = true;
-      o->check_out = next();
     } else if (a == "--help" || a == "-h") {
       Usage();
       return false;
@@ -290,6 +276,7 @@ bool Parse(int argc, char** argv, CliOptions* o) {
     Usage();
     return false;
   }
+  if (o->observe.contains("check")) o->check = true;
   // A user-supplied pattern is a subgraph-matching query unless a task
   // was named explicitly.
   if (!o->task_set &&
@@ -328,17 +315,27 @@ Result<graph::Pattern> ResolvePattern(const CliOptions& o,
   return graph::Pattern::SmQuery(o.query, g.num_labels());
 }
 
-// Writes the gamma.plan.v1 document of the run's compiled plan.
-bool WritePlan(const std::string& path, const core::CompiledPlan& plan) {
+// Writes the gamma.<name>.v1 document `json` to <out-dir>/<name>.json and
+// reports it with `detail`; false, after a message, when the file cannot
+// be opened.
+bool WriteDocument(const CliOptions& o, const std::string& name,
+                   const std::string& json, const std::string& detail) {
+  const std::string path = o.out_dir + "/" + name + ".json";
   std::ofstream out(path);
   if (!out) {
     std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
     return false;
   }
-  out << plan.ToJson();
-  std::printf("plan written to %s (%s)\n", path.c_str(),
-              plan.DebugString().c_str());
+  out << json;
+  std::printf("%s written to %s (%s)\n", name.c_str(), path.c_str(),
+              detail.c_str());
   return true;
+}
+
+// --observe plan, with or without a run.
+bool WritePlan(const CliOptions& o, const core::CompiledPlan& plan) {
+  return !o.observe.contains("plan") ||
+         WriteDocument(o, "plan", plan.ToJson(), plan.DebugString());
 }
 
 // Compiles the plan the chosen task runs (and --explain prints).
@@ -528,8 +525,8 @@ core::GammaOptions FrameworkOptions(const CliOptions& o) {
   }
   // The audit also feeds the --stats summary line, so either flag turns
   // it on (the engine ignores it for placements with no host traffic).
-  options.adaptivity_audit = !o.adaptivity_out.empty() || o.show_stats;
-  options.plan_profile = !o.planprof_out.empty() || o.explain_analyze;
+  options.adaptivity_audit = o.observe.contains("adaptivity") || o.show_stats;
+  options.plan_profile = o.observe.contains("planprof") || o.explain_analyze;
   return options;
 }
 
@@ -609,8 +606,7 @@ int main(int argc, char** argv) {
   if (o.explain) {
     // Plan only — print the compiled plan without running it.
     PrintExplain(plan);
-    if (!o.plan_out.empty() && !WritePlan(o.plan_out, plan)) return 1;
-    return 0;
+    return WritePlan(o, plan) ? 0 : 1;
   }
 
   gpusim::SimParams params;
@@ -619,21 +615,20 @@ int main(int argc, char** argv) {
   params.num_warp_slots = o.warps;
   params.host_threads = o.host_threads;
   gpusim::Device device(params);
-  // The kernel breakdown and the JSON profile's kernel trace are views
-  // over the command log's kernel records.
-  if (o.trace || !o.profile_json.empty()) device.critpath().set_enabled(true);
+  // The kernel breakdown and the profile's kernel trace are views over the
+  // command log's kernel records, and the plan profiler's resource
+  // attribution and binding columns come from it too; recording it stays
+  // observation-only.
+  if (o.trace || o.explain_analyze || o.observe.contains("profile") ||
+      o.observe.contains("critpath") || o.observe.contains("planprof")) {
+    device.critpath().set_enabled(true);
+  }
   if (o.trace_capacity > 0) {
     device.trace().set_capacity(o.trace_capacity);
     device.critpath().set_capacity(o.trace_capacity);
   }
-  if (!o.trace_out.empty()) device.trace().set_enabled(true);
-  if (!o.critpath_out.empty()) device.critpath().set_enabled(true);
-  // The plan profiler's resource attribution and binding columns come from
-  // the critpath command log; recording it stays observation-only.
-  if (!o.planprof_out.empty() || o.explain_analyze) {
-    device.critpath().set_enabled(true);
-  }
-  if (!o.metrics_out.empty()) {
+  if (o.observe.contains("trace")) device.trace().set_enabled(true);
+  if (o.observe.contains("metrics")) {
     device.metrics().set_interval_cycles(o.metrics_interval);
   }
   if (o.check) {
@@ -690,7 +685,7 @@ int main(int argc, char** argv) {
                   pattern.DebugString().c_str());
     }
   }
-  if (!o.plan_out.empty() && !WritePlan(o.plan_out, plan)) return 1;
+  if (!WritePlan(o, plan)) return 1;
 
   if (o.trace) PrintKernelBreakdown(device.critpath());
   if (o.show_stats) {
@@ -709,57 +704,39 @@ int main(int argc, char** argv) {
                                                         : "zerocopy");
     }
   }
-  if (!o.profile_json.empty()) {
-    std::ofstream out(o.profile_json);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s for writing\n",
-                   o.profile_json.c_str());
-      return 1;
-    }
-    out << device.profile().ToJson(device);
+  if (o.observe.contains("profile")) {
     const auto& commands = device.critpath().commands();
     const auto kernel_records = std::count_if(
         commands.begin(), commands.end(), [](const prof::CommandRecord& rec) {
           return rec.kind == prof::CommandRecord::Kind::kKernel;
         });
-    std::printf("profile written to %s (%zu phases, %zu kernel records",
-                o.profile_json.c_str(), device.profile().phases().size(),
-                static_cast<std::size_t>(kernel_records));
-    if (device.critpath().dropped() > 0) {
-      std::printf(", %llu dropped",
-                  static_cast<unsigned long long>(device.critpath().dropped()));
-    }
-    std::printf(")\n");
-  }
-  if (!o.trace_out.empty()) {
-    std::ofstream out(o.trace_out);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s for writing\n",
-                   o.trace_out.c_str());
+    if (!WriteDocument(o, "profile", device.profile().ToJson(device),
+                       std::to_string(device.profile().phases().size()) +
+                           " phases, " + std::to_string(kernel_records) +
+                           " kernel records, " +
+                           std::to_string(device.critpath().dropped()) +
+                           " dropped")) {
       return 1;
     }
-    out << device.trace().ToChromeTraceJson(device.params());
-    std::printf("timeline written to %s (%zu events, %llu dropped; open in "
-                "Perfetto)\n",
-                o.trace_out.c_str(), device.trace().events().size(),
-                static_cast<unsigned long long>(
-                    device.trace().dropped_events()));
   }
-  if (!o.metrics_out.empty()) {
+  if (o.observe.contains("trace") &&
+      !WriteDocument(
+          o, "trace", device.trace().ToChromeTraceJson(device.params()),
+          std::to_string(device.trace().events().size()) + " events, " +
+              std::to_string(device.trace().dropped_events()) +
+              " dropped; open in Perfetto")) {
+    return 1;
+  }
+  if (o.observe.contains("metrics")) {
     // Pin the final state so the series always covers the whole run.
     device.metrics().ForceSample(device);
-    std::ofstream out(o.metrics_out);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s for writing\n",
-                   o.metrics_out.c_str());
+    if (!WriteDocument(
+            o, "metrics", device.metrics().ToJson(device),
+            std::to_string(device.metrics().samples().size()) + " samples")) {
       return 1;
     }
-    out << device.metrics().ToJson(device);
-    std::printf("metrics written to %s (%zu samples every %.0f cycles)\n",
-                o.metrics_out.c_str(), device.metrics().samples().size(),
-                device.metrics().interval_cycles());
   }
-  if (!o.critpath_out.empty()) {
+  if (o.observe.contains("critpath")) {
     auto analyzed = prof::Analyze(device);
     if (!analyzed.ok()) {
       std::fprintf(stderr, "critpath: %s\n",
@@ -767,17 +744,14 @@ int main(int argc, char** argv) {
       return 1;
     }
     const prof::CritpathReport& report = analyzed.value();
-    std::ofstream out(o.critpath_out);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s for writing\n",
-                   o.critpath_out.c_str());
+    if (!WriteDocument(
+            o, "critpath", report.ToJson(),
+            std::to_string(report.commands) + " commands, " +
+                std::to_string(report.streams) + " streams" +
+                (report.partial ? "; PARTIAL: command log overflowed"
+                                : ""))) {
       return 1;
     }
-    out << report.ToJson();
-    std::printf(
-        "critpath written to %s (%zu commands, %d streams%s)\n",
-        o.critpath_out.c_str(), report.commands, report.streams,
-        report.partial ? "; PARTIAL: command log overflowed" : "");
     std::printf(
         "  critical path %.0f of %.0f cycles, bound on %s "
         "(link utilization %.1f%%)\n",
@@ -791,41 +765,31 @@ int main(int argc, char** argv) {
                   wi.projected_cycles, wi.speedup);
     }
   }
-  if (!o.adaptivity_out.empty()) {
+  if (o.observe.contains("adaptivity")) {
     if (engine->audit() == nullptr) {
       std::fprintf(stderr,
-                   "--adaptivity-out: placement %s has no host-memory "
+                   "--observe adaptivity: placement %s has no host-memory "
                    "traffic to audit\n",
                    o.placement.c_str());
       return 1;
     }
-    std::ofstream out(o.adaptivity_out);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s for writing\n",
-                   o.adaptivity_out.c_str());
+    if (!WriteDocument(o, "adaptivity", engine->audit()->ToJson(),
+                       std::to_string(engine->audit()->records().size()) +
+                           " extension records")) {
       return 1;
     }
-    out << engine->audit()->ToJson();
-    std::printf("adaptivity audit written to %s (%zu extension records)\n",
-                o.adaptivity_out.c_str(), engine->audit()->records().size());
   }
-  if (o.explain_analyze || !o.planprof_out.empty()) {
+  if (o.explain_analyze || o.observe.contains("planprof")) {
     core::PlanProfiler* prof = engine->plan_profiler();
     if (prof == nullptr || !prof->has_run()) {
       std::fprintf(stderr, "planprof: task produced no profiled run\n");
       return 1;
     }
     if (o.explain_analyze) PrintExplainAnalyze(prof);
-    if (!o.planprof_out.empty()) {
-      std::ofstream out(o.planprof_out);
-      if (!out) {
-        std::fprintf(stderr, "cannot open %s for writing\n",
-                     o.planprof_out.c_str());
-        return 1;
-      }
-      out << prof->ToJson();
-      std::printf("planprof written to %s (%zu levels)\n",
-                  o.planprof_out.c_str(), prof->segments().size());
+    if (o.observe.contains("planprof") &&
+        !WriteDocument(o, "planprof", prof->ToJson(),
+                       std::to_string(prof->segments().size()) + " levels")) {
+      return 1;
     }
   }
   if (o.check) {
@@ -834,15 +798,10 @@ int main(int argc, char** argv) {
     engine.reset();
     gpusim::Sanitizer* san = device.sanitizer();
     san->FinalizeLeakCheck();
-    if (!o.check_out.empty()) {
-      std::ofstream out(o.check_out);
-      if (!out) {
-        std::fprintf(stderr, "cannot open %s for writing\n",
-                     o.check_out.c_str());
-        return 1;
-      }
-      out << san->ToJson();
-      std::printf("check report written to %s\n", o.check_out.c_str());
+    if (o.observe.contains("check") &&
+        !WriteDocument(o, "check", san->ToJson(),
+                       std::to_string(san->findings().size()) + " findings")) {
+      return 1;
     }
     if (!san->findings().empty()) {
       std::fputs(san->ReportText().c_str(), stderr);

@@ -36,8 +36,7 @@ double ChargeCompactKernel(gpusim::Device* device, std::size_t rows,
 }  // namespace
 
 CompactionResult CompactTable(EmbeddingTable* table,
-                              const std::vector<uint8_t>& keep_last,
-                              bool prune_ancestors) {
+                              const std::vector<uint8_t>& keep_last) {
   CompactionResult result;
   const int ncols = table->length();
   GAMMA_CHECK(ncols > 0) << "compaction of empty table";
@@ -65,9 +64,7 @@ CompactionResult CompactTable(EmbeddingTable* table,
     std::vector<Unit> new_units(kept);
     std::vector<RowIndex> new_parents(kept);
     std::vector<uint8_t> keep_parent;
-    if (j > 0 && prune_ancestors) {
-      keep_parent.assign(table->column(j - 1).size(), 0);
-    }
+    if (j > 0) keep_parent.assign(table->column(j - 1).size(), 0);
     for (std::size_t r = 0; r < rows; ++r) {
       if (!keep[r]) continue;
       new_units[new_pos[r]] = units[r];
@@ -84,11 +81,7 @@ CompactionResult CompactTable(EmbeddingTable* table,
     col.units.Assign(std::move(new_units));
     col.parents.Assign(std::move(new_parents));
 
-    if (j == 0 || !prune_ancestors) {
-      // Without ancestor pruning, parent rows are untouched and the
-      // surviving parent indices are already valid.
-      break;
-    }
+    if (j == 0) break;
 
     // Remap the just-written parents after the previous column compacts:
     // compute the previous column's new positions first, then rewrite.

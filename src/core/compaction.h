@@ -19,13 +19,11 @@ struct CompactionResult {
 ///
 /// `keep_last[r]` says whether row r of the last column survives. The pass
 /// follows the paper's three stages — mark, prefix-scan for new positions,
-/// parallel collection — charged as GPU kernels; when `prune_ancestors` is
-/// set, rows of earlier columns that lost all descendants are removed too
-/// and parent pointers are remapped (the space compression "ignored in
-/// existing GPM frameworks").
+/// parallel collection — charged as GPU kernels; rows of earlier columns
+/// that lost all descendants are removed too and parent pointers are
+/// remapped (the space compression "ignored in existing GPM frameworks").
 CompactionResult CompactTable(EmbeddingTable* table,
-                              const std::vector<uint8_t>& keep_last,
-                              bool prune_ancestors);
+                              const std::vector<uint8_t>& keep_last);
 
 }  // namespace gpm::core
 

@@ -91,6 +91,7 @@ Result<CompiledRunResult> CompiledEngine::RunVertexPlan(
     spec.candidate_label = level.candidate_label;
     spec.require_ascending = level.require_ascending;
     spec.enforce_injective = level.enforce_injective;
+    spec.count_only = level.count_only;
     if (!level.restrictions.empty()) {
       // Same closure the legacy symmetric matcher installed: the matched
       // side of each restriction is already in the embedding, the other
@@ -110,7 +111,6 @@ Result<CompiledRunResult> CompiledEngine::RunVertexPlan(
       };
     }
     ExtensionOptions& live = engine_->mutable_options().extension;
-    live.count_only = saved.count_only || level.count_only;
     if (level.write_strategy) live.write_strategy = *level.write_strategy;
     if (level.pre_merge) live.pre_merge = *level.pre_merge;
     if (prof != nullptr) {
@@ -127,7 +127,7 @@ Result<CompiledRunResult> CompiledEngine::RunVertexPlan(
       in.strategy.write_strategy_from_plan = level.write_strategy.has_value();
       in.strategy.pre_merge = live.pre_merge;
       in.strategy.pre_merge_from_plan = level.pre_merge.has_value();
-      in.strategy.count_only = live.count_only;
+      in.strategy.count_only = level.count_only;
       prof->BeginSegment(std::move(in));
     }
     auto stats = engine_->VertexExtension(et, spec);

@@ -99,8 +99,9 @@ struct WarpTask {
 // pool traffic and flushes, and appends the final column.
 Result<ExtensionStats> RunExtension(
     EmbeddingTable* table, GraphAccessor* accessor,
-    const ExtensionOptions& options, const std::vector<WarpTask>& tasks,
-    const RowRangeGenerator& generate, std::size_t worst_case_per_row) {
+    const ExtensionOptions& options, bool count_only,
+    const std::vector<WarpTask>& tasks, const RowRangeGenerator& generate,
+    std::size_t worst_case_per_row) {
   gpusim::Device* device = table->device();
   ExtensionStats stats;
   stats.input_rows = table->num_embeddings();
@@ -113,7 +114,7 @@ Result<ExtensionStats> RunExtension(
   // stream, so per-stream trace/metrics attribution is consistent across
   // every write strategy.
   const bool use_worker_streams = options.num_streams >= 2;
-  const bool async = use_worker_streams && !options.count_only;
+  const bool async = use_worker_streams && !count_only;
   const gpusim::StreamId compute_stream =
       use_worker_streams ? device->WorkerStream(0) : gpusim::kDefaultStream;
   const gpusim::StreamId copy_stream =
@@ -190,7 +191,7 @@ Result<ExtensionStats> RunExtension(
     emitted.clear();
     std::size_t chunk_results = 0;
 
-    if (options.count_only) {
+    if (count_only) {
       // Tally survivors without writing anything: single generation pass,
       // results reduced warp-locally and atomically added to one counter.
       // Each task writes only its own tally slot (kernel lambdas may run
@@ -367,7 +368,7 @@ Result<ExtensionStats> RunExtension(
   }
 
   (void)accessor;
-  if (!options.count_only) {
+  if (!count_only) {
     Status append =
         table->AppendColumn(std::move(new_units), std::move(new_parents));
     if (!append.ok()) return append;
@@ -588,8 +589,8 @@ Result<ExtensionStats> VertexExtend(EmbeddingTable* table,
     return raw_candidates;
   };
 
-  auto result = RunExtension(table, accessor, options, tasks, generate,
-                             g.max_degree());
+  auto result = RunExtension(table, accessor, options, spec.count_only, tasks,
+                             generate, g.max_degree());
   if (result.ok()) {
     result.value().groups = group_stats.groups;
   }
@@ -786,8 +787,8 @@ Result<ExtensionStats> EdgeExtend(EmbeddingTable* table,
   // Worst case new edges per row: every incident edge of every endpoint.
   std::size_t worst = static_cast<std::size_t>(g.max_degree()) *
                       static_cast<std::size_t>(len + 1);
-  auto result = RunExtension(table, accessor, options, tasks, generate,
-                             std::max<std::size_t>(1, worst));
+  auto result = RunExtension(table, accessor, options, /*count_only=*/false,
+                             tasks, generate, std::max<std::size_t>(1, worst));
   if (result.ok() && grouped) result.value().groups = tasks.size();
   return result;
 }

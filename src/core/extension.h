@@ -53,12 +53,6 @@ struct ExtensionOptions {
   std::size_t pool_bytes = 4ull << 20;
   /// Pool block size (paper: 8 KB).
   std::size_t block_bytes = 8192;
-  /// Count-only mode: the extension tallies surviving candidates but
-  /// materializes no new column (no pool traffic, no flush). The standard
-  /// final-level optimization for counting workloads — the paper's
-  /// embedding table is only needed when a further extension or
-  /// aggregation will read it.
-  bool count_only = false;
   /// Fault injection for the sanitizer's racecheck tests: skips the event
   /// wait that guards buffer-half reuse in the double-buffered pipeline,
   /// recreating the bug class the guard exists to prevent (compute stream
@@ -90,6 +84,12 @@ struct VertexExtensionSpec {
   bool require_ascending = false;
   /// Candidate must differ from every matched vertex.
   bool enforce_injective = true;
+  /// Count-only mode: the extension tallies surviving candidates but
+  /// materializes no new column (no pool traffic, no flush). The standard
+  /// final-level optimization for counting workloads — the paper's
+  /// embedding table is only needed when a further extension or
+  /// aggregation will read it.
+  bool count_only = false;
   /// Optional extra predicate over (embedding, candidate); charged a
   /// fixed compute cost per call.
   std::function<bool(std::span<const Unit>, Unit)> post_filter;

@@ -23,8 +23,7 @@ FilterStats MarkAndCompact(EmbeddingTable* table,
   }
   stats.kernel_cycles = mark_cycles;
   if (options.compress) {
-    stats.compaction =
-        CompactTable(table, keep, options.prune_ancestors);
+    stats.compaction = CompactTable(table, keep);
     stats.kernel_cycles += stats.compaction.kernel_cycles;
   } else if (stats.removed > 0) {
     // Without compression the invalid rows stay as holes; model the flag

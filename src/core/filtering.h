@@ -23,8 +23,6 @@ struct FilterOptions {
   /// Compress the table after marking (Fig. 6(c)); GAMMA always does, the
   /// ablation baselines may skip it.
   bool compress = true;
-  /// Also drop ancestor rows that lost every descendant.
-  bool prune_ancestors = true;
 };
 
 /// The filtering primitive over embeddings: marks rows failing `keep`,

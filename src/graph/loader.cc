@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <unordered_map>
 #include <vector>
@@ -89,6 +90,23 @@ Result<Graph> LoadBinary(const std::string& path) {
       !get(&nlabels, sizeof nlabels)) {
     return Status::InvalidArgument("truncated header in " + path);
   }
+  if (nv > std::numeric_limits<VertexId>::max() ||
+      (nlabels != 0 && nlabels != nv)) {
+    return Status::InvalidArgument("bad vertex or label count in " + path);
+  }
+  // The header sizes every array: check the file holds exactly that much
+  // before allocating, in arithmetic that cannot wrap (nv and nlabels are
+  // below 2^32 here).
+  const std::streampos body_begin = in.tellg();
+  in.seekg(0, std::ios::end);
+  const auto body = static_cast<uint64_t>(in.tellg() - body_begin);
+  in.seekg(body_begin);
+  if (arcs > body / sizeof(VertexId) ||
+      body - arcs * sizeof(VertexId) !=
+          (nv + 1) * sizeof(uint64_t) + nlabels * sizeof(Label)) {
+    return Status::InvalidArgument("header does not match the size of " +
+                                   path);
+  }
   std::vector<uint64_t> row_ptr(nv + 1);
   std::vector<VertexId> col(arcs);
   std::vector<Label> labels(nlabels);
@@ -97,11 +115,22 @@ Result<Graph> LoadBinary(const std::string& path) {
       (nlabels > 0 && !get(labels.data(), labels.size() * sizeof(Label)))) {
     return Status::InvalidArgument("truncated body in " + path);
   }
-  // Rebuild through FromEdges to revalidate invariants.
+  // Rebuild through FromEdges to revalidate invariants. row_ptr must run
+  // from 0 to arcs without decreasing, checked before each row is read.
+  if (row_ptr[0] != 0 || row_ptr[nv] != arcs) {
+    return Status::InvalidArgument("row_ptr does not span the arcs in " +
+                                   path);
+  }
   std::vector<Edge> edges;
   edges.reserve(arcs / 2);
   for (VertexId u = 0; u < nv; ++u) {
+    if (row_ptr[u + 1] < row_ptr[u] || row_ptr[u + 1] > arcs) {
+      return Status::InvalidArgument("row_ptr out of order in " + path);
+    }
     for (uint64_t i = row_ptr[u]; i < row_ptr[u + 1]; ++i) {
+      if (col[i] >= nv) {
+        return Status::InvalidArgument("neighbor id out of range in " + path);
+      }
       if (u < col[i]) edges.push_back({u, col[i]});
     }
   }

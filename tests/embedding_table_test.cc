@@ -85,7 +85,7 @@ TEST(EmbeddingTableTest, DeviceResidentOomSurfaces) {
 TEST(CompactionTest, DropsMarkedRows) {
   gpusim::Device device(SmallParams());
   auto t = TwoColumnTable(&device);
-  CompactionResult r = CompactTable(t.get(), {1, 0, 1}, false);
+  CompactionResult r = CompactTable(t.get(), {1, 0, 1});
   EXPECT_EQ(r.removed_last, 1u);
   EXPECT_EQ(t->num_embeddings(), 2u);
   EXPECT_EQ(t->GetEmbedding(1, 0), (std::vector<Unit>{10, 100}));
@@ -96,7 +96,7 @@ TEST(CompactionTest, PrunesOrphanAncestors) {
   gpusim::Device device(SmallParams());
   auto t = TwoColumnTable(&device);
   // Remove both children of parent 'a' (rows 0 and 1).
-  CompactionResult r = CompactTable(t.get(), {0, 0, 1}, true);
+  CompactionResult r = CompactTable(t.get(), {0, 0, 1});
   EXPECT_EQ(r.removed_last, 2u);
   EXPECT_EQ(r.removed_ancestors, 1u);
   EXPECT_EQ(t->column(0).size(), 1u);
@@ -106,7 +106,7 @@ TEST(CompactionTest, PrunesOrphanAncestors) {
 TEST(CompactionTest, KeepAllIsNoOp) {
   gpusim::Device device(SmallParams());
   auto t = TwoColumnTable(&device);
-  CompactionResult r = CompactTable(t.get(), {1, 1, 1}, true);
+  CompactionResult r = CompactTable(t.get(), {1, 1, 1});
   EXPECT_EQ(r.removed_last, 0u);
   EXPECT_EQ(r.removed_ancestors, 0u);
   EXPECT_EQ(t->num_embeddings(), 3u);
@@ -115,7 +115,7 @@ TEST(CompactionTest, KeepAllIsNoOp) {
 TEST(CompactionTest, RemoveAllEmptiesTable) {
   gpusim::Device device(SmallParams());
   auto t = TwoColumnTable(&device);
-  CompactTable(t.get(), {0, 0, 0}, true);
+  CompactTable(t.get(), {0, 0, 0});
   EXPECT_EQ(t->num_embeddings(), 0u);
   EXPECT_EQ(t->column(0).size(), 0u);
 }
@@ -123,7 +123,7 @@ TEST(CompactionTest, RemoveAllEmptiesTable) {
 TEST(CompactionTest, ChargesKernelCycles) {
   gpusim::Device device(SmallParams());
   auto t = TwoColumnTable(&device);
-  CompactionResult r = CompactTable(t.get(), {1, 0, 1}, true);
+  CompactionResult r = CompactTable(t.get(), {1, 0, 1});
   EXPECT_GT(r.kernel_cycles, 0.0);
 }
 
@@ -134,7 +134,7 @@ TEST(CompactionTest, ThreeLevelCascade) {
   ASSERT_TRUE(t.AppendColumn({11, 21}, {0, 1}).ok());
   ASSERT_TRUE(t.AppendColumn({111, 211, 212}, {0, 1, 1}).ok());
   // Kill every descendant of root 1.
-  CompactTable(&t, {0, 1, 1}, true);
+  CompactTable(&t, {0, 1, 1});
   EXPECT_EQ(t.column(0).size(), 1u);
   EXPECT_EQ(t.column(1).size(), 1u);
   EXPECT_EQ(t.num_embeddings(), 2u);

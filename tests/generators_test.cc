@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "graph/datasets.h"
 #include "graph/generators.h"
@@ -159,15 +162,51 @@ TEST(LoaderTest, MissingFileReturnsNotFound) {
   EXPECT_EQ(loaded.status().code(), ErrorCode::kNotFound);
 }
 
-TEST(LoaderTest, BadMagicRejected) {
-  std::string path = testing::TempDir() + "/gamma_bad.bin";
-  {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    std::fputs("not a gamma file", f);
-    std::fclose(f);
+// Binary files whose header or arrays are inconsistent: each must come
+// back as InvalidArgument, never as an out-of-bounds read, an allocation
+// sized by the header, or an abort.
+TEST(LoaderTest, MalformedBinaryRejected) {
+  constexpr uint64_t kMagic = 0x47414d4d41475231ull;  // "GAMMAGR1"
+  struct Case {
+    const char* what;
+    std::vector<uint64_t> header;  // magic, nv, arcs, nlabels
+    std::vector<uint64_t> row_ptr;
+    std::vector<uint32_t> col_then_labels;
+  };
+  const Case cases[] = {
+      {"bad magic", {0, 2, 2, 0}, {0, 1, 2}, {1, 0}},
+      {"truncated header", {kMagic, 2}, {}, {}},
+      {"row_ptr past arcs", {kMagic, 2, 2, 0}, {0, 1000, 2}, {1, 0}},
+      {"row_ptr past arcs, no columns", {kMagic, 2, 2, 0}, {0, 1000, 1000}, {}},
+      {"2^40 vertices", {kMagic, 1ull << 40, 0, 0}, {}, {}},
+      {"2^31 vertices, no arrays", {kMagic, 1ull << 31, 0, 0}, {}, {}},
+      {"2^62 arcs", {kMagic, 2, 1ull << 62, 0}, {0, 1, 2}, {1, 0}},
+      {"truncated body", {kMagic, 2, 2, 0}, {0, 1, 2}, {1}},
+      {"trailing bytes", {kMagic, 2, 2, 0}, {0, 1, 2}, {1, 0, 7}},
+      {"one label for two vertices", {kMagic, 2, 2, 1}, {0, 1, 2}, {1, 0, 0}},
+      {"row_ptr[0] != 0", {kMagic, 2, 2, 0}, {1, 1, 2}, {1, 0}},
+      {"row_ptr decreases", {kMagic, 3, 2, 0}, {0, 2, 1, 2}, {1, 0}},
+      {"row_ptr[nv] != arcs", {kMagic, 2, 2, 0}, {0, 1, 1}, {1, 0}},
+      {"neighbor id out of range", {kMagic, 2, 2, 0}, {0, 1, 2}, {5, 0}},
+  };
+  const std::string path = testing::TempDir() + "/gamma_bad.bin";
+  for (const Case& c : cases) {
+    {
+      std::FILE* f = std::fopen(path.c_str(), "wb");
+      ASSERT_NE(f, nullptr);
+      // fwrite must not see the null data() of an empty vector.
+      auto put = [f](const auto& v) {
+        if (!v.empty()) std::fwrite(v.data(), sizeof(v[0]), v.size(), f);
+      };
+      put(c.header);
+      put(c.row_ptr);
+      put(c.col_then_labels);
+      std::fclose(f);
+    }
+    auto loaded = LoadBinary(path);
+    ASSERT_FALSE(loaded.ok()) << c.what;
+    EXPECT_EQ(loaded.status().code(), ErrorCode::kInvalidArgument) << c.what;
   }
-  auto loaded = LoadBinary(path);
-  EXPECT_FALSE(loaded.ok());
   std::remove(path.c_str());
 }
 

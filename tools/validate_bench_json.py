@@ -3,12 +3,12 @@
 dispatching on the document's `schema` field:
 
   gamma.bench.v1       bench binaries' --json=<file> export
-  gamma.adaptivity.v1  gamma_cli --adaptivity-out audit
-  gamma.metrics.v1     gamma_cli --metrics-out counter time-series
-  gamma.check.v1       gamma_cli --check-out sanitizer report
-  gamma.critpath.v1    gamma_cli --critpath-out bottleneck analysis
-  gamma.plan.v1        gamma_cli --plan-out compiled pattern plan
-  gamma.planprof.v1    gamma_cli --planprof-out plan-execution audit
+  gamma.adaptivity.v1  gamma_cli --observe adaptivity audit
+  gamma.metrics.v1     gamma_cli --observe metrics counter time-series
+  gamma.check.v1       gamma_cli --observe check sanitizer report
+  gamma.critpath.v1    gamma_cli --observe critpath bottleneck analysis
+  gamma.plan.v1        gamma_cli --observe plan compiled pattern plan
+  gamma.planprof.v1    gamma_cli --observe planprof plan-execution audit
   gamma.verify.v1      gamma_cli --verify-plan=json obligation report
   gamma.fuzz.v1        tools/fuzz_patterns --report findings summary
 
@@ -22,7 +22,7 @@ refuted. Stdlib only; also usable locally:
 
     ./build/bench/bench_fig10_memory --json=out.json
     python3 tools/validate_bench_json.py out.json
-    ./build/examples/gamma_cli --check --check-out check.json ...
+    ./build/examples/gamma_cli --observe check ...   # writes ./check.json
     python3 tools/validate_bench_json.py --expect-clean check.json
     ./build/examples/gamma_cli --verify-plan=json plan.json > verify.json
     python3 tools/validate_bench_json.py --expect-verified verify.json
