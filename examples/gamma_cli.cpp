@@ -115,7 +115,7 @@ void Usage() {
       "  --explain-analyze  run, then print the plan table joined with\n"
       "                     actual rows, Q-error, binding resource class,\n"
       "                     and per-level load imbalance\n"
-      "  --fpm-edges N      FPM pattern size in edges (default 3)\n"
+      "  --fpm-edges N      FPM pattern size in edges, 1-7 (default 3)\n"
       "  --minsup N         FPM support threshold (default |E|/10)\n"
       "  --placement P      hybrid | unified | zerocopy | device | explicit\n"
       "  --strategy S       dynamic | naive | prealloc (write strategy)\n"

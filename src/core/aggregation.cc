@@ -16,6 +16,14 @@ constexpr std::size_t kRowsPerWarp = 256;
 // of a k-unit embedding costs ~O(k^2) table lookups on device).
 constexpr double kMapCyclesPerUnit = 8.0;
 
+struct RawCodeHash {
+  std::size_t operator()(const graph::Pattern& p) const {
+    return graph::RawCode(p);
+  }
+};
+// Memo from an exact pattern (as numbered) to its canonical code.
+using PatternMemo = std::unordered_map<graph::Pattern, uint64_t, RawCodeHash>;
+
 }  // namespace
 
 Result<AggregationResult> Aggregate(const EmbeddingTable& table,
@@ -30,32 +38,40 @@ Result<AggregationResult> Aggregate(const EmbeddingTable& table,
   gpusim::Device* device = table.device();
   const graph::Graph& g = accessor->graph();
 
-  // Map phase: one warp per row block; each row is reconstructed, its
-  // pattern built and canonically coded, and the code written out. Tasks
-  // may run concurrently: every row writes only its own code slot, each
-  // task collects its own first-seen exemplars (merged after the launch in
-  // ascending task order, reproducing the serial first-wins choice), and
-  // the canonical-code memo — whose values are content-derived and thus
-  // interleaving-independent — is the one piece of shared mutable state,
-  // behind a mutex. The permutation search itself runs outside the lock
-  // (codes are pure functions of the pattern, so a rare duplicate search
-  // computes the same value), keeping the dominant cost parallel.
+  // Map phase: one warp per row block; each row is read by walking its
+  // parents, its pattern built and canonically coded, and the code written
+  // out. Tasks may run concurrently: every row writes only its own code
+  // slot, and each task keeps a memo from the exact patterns it has coded
+  // to their codes, so a row whose pattern the task has seen costs one hash
+  // lookup and allocates nothing. Only a task-local miss reaches the shared
+  // memo, the one piece of shared mutable state, behind a mutex; its values
+  // are content-derived and thus interleaving-independent. The permutation
+  // search runs outside the lock (codes are pure functions of the pattern,
+  // so a rare duplicate search computes the same value), keeping the
+  // dominant cost parallel. A task's first row with a given code is always
+  // a local miss, so each task collects its first-seen exemplars there;
+  // they are merged after the launch in ascending task order, reproducing
+  // the serial first-wins choice.
   result.codes.resize(rows);
-  std::unordered_map<uint64_t, graph::Pattern> exemplars;
   std::mutex cache_mu;
-  std::unordered_map<uint64_t, uint64_t> canon_memo;  // raw code -> canonical
+  PatternMemo canon_memo;
   auto canonical_of = [&cache_mu, &canon_memo](const graph::Pattern& p) {
-    const uint64_t raw = graph::RawCode(p);
     {
       std::lock_guard<std::mutex> lock(cache_mu);
-      auto it = canon_memo.find(raw);
+      auto it = canon_memo.find(p);
       if (it != canon_memo.end()) return it->second;
     }
     const uint64_t canon = graph::CanonicalCode(p);
     std::lock_guard<std::mutex> lock(cache_mu);
-    canon_memo.emplace(raw, canon);
+    canon_memo.try_emplace(p, canon);
     return canon;
   };
+  std::vector<const Unit*> units(len);
+  std::vector<const RowIndex*> parents(len);
+  for (int j = 0; j < len; ++j) {
+    units[j] = table.column(j).units.host_data().data();
+    parents[j] = table.column(j).parents.host_data().data();
+  }
   std::size_t tasks = (rows + kRowsPerWarp - 1) / kRowsPerWarp;
   std::vector<std::unordered_map<uint64_t, graph::Pattern>> task_exemplars(
       tasks);
@@ -66,26 +82,31 @@ Result<AggregationResult> Aggregate(const EmbeddingTable& table,
         table.ChargeColumnRead(w, len - 1, lo, hi - lo);
         w.ChargeSimtWork((hi - lo) * len,
                          kMapCyclesPerUnit * len);
+        std::vector<Unit> emb(len);
+        PatternMemo local;
         for (std::size_t r = lo; r < hi; ++r) {
-          std::vector<Unit> emb = table.GetEmbedding(len - 1,
-                                                     static_cast<RowIndex>(r));
-          graph::Pattern p;
-          if (table.kind() == TableKind::kEdge) {
-            std::vector<graph::EdgeId> edges(emb.begin(), emb.end());
-            p = graph::PatternOfEdges(g, edges, options.use_labels);
-          } else {
-            std::vector<graph::VertexId> verts(emb.begin(), emb.end());
-            p = graph::PatternOfVertices(g, verts, options.use_labels);
+          RowIndex at = static_cast<RowIndex>(r);
+          for (int j = len - 1; j >= 0; --j) {
+            emb[j] = units[j][at];
+            at = parents[j][at];
           }
-          const uint64_t code = canonical_of(p);
-          result.codes[r] = code;
-          task_exemplars[t].emplace(code, p);
+          const graph::Pattern p =
+              table.kind() == TableKind::kEdge
+                  ? graph::PatternOfEdges(g, emb, options.use_labels)
+                  : graph::PatternOfVertices(g, emb, options.use_labels);
+          auto [it, miss] = local.try_emplace(p, 0);
+          if (miss) {
+            it->second = canonical_of(p);
+            task_exemplars[t].try_emplace(it->second, p);
+          }
+          result.codes[r] = it->second;
         }
         w.DeviceWrite((hi - lo) * sizeof(uint64_t));
       },
       "aggregation-map");
+  std::unordered_map<uint64_t, graph::Pattern> exemplars;
   for (auto& te : task_exemplars) {
-    for (auto& [code, p] : te) exemplars.emplace(code, p);
+    for (auto& [code, p] : te) exemplars.try_emplace(code, p);
   }
 
   // Sort the code column (out-of-core capable) and count runs.

@@ -650,6 +650,41 @@ bool IsCanonicalEdgeExtension(const graph::Graph& g,
   return true;
 }
 
+void CanonicalRowContext::Reset(std::span<const Unit> row) {
+  len_ = static_cast<int>(row.size());
+  canonical_ = !row.empty() &&
+               IsCanonicalEdgeExtension(*g_, row.first(row.size() - 1),
+                                        row.back());
+  if (!canonical_) return;
+  first_ = row[0];
+  first_seen_.clear();
+  for (int t = 0; t < len_; ++t) {
+    const graph::Edge& ed = g_->edge_list()[row[t]];
+    for (VertexId v : {ed.u, ed.v}) {
+      if (FirstSeen(v) > len_) first_seen_.emplace_back(v, t + 1);
+    }
+  }
+  suffix_max_.assign(len_ + 1, 0);
+  for (int s = len_ - 1; s >= 1; --s) {
+    suffix_max_[s] = std::max(row[s], suffix_max_[s + 1]);
+  }
+}
+
+int CanonicalRowContext::FirstSeen(VertexId v) const {
+  for (const auto& [u, s] : first_seen_) {
+    if (u == v) return s;
+  }
+  return len_ + 1;
+}
+
+bool CanonicalRowContext::Accepts(Unit c) const {
+  if (!canonical_ || c <= first_) return false;
+  const graph::Edge& ed = g_->edge_list()[c];
+  const int s = std::min(FirstSeen(ed.u), FirstSeen(ed.v));
+  if (s > len_) return false;  // touches no row vertex
+  return c > suffix_max_[s];
+}
+
 Result<ExtensionStats> EdgeExtend(EmbeddingTable* table,
                                   GraphAccessor* accessor,
                                   const EdgeExtensionSpec& spec,
@@ -694,10 +729,13 @@ Result<ExtensionStats> EdgeExtend(EmbeddingTable* table,
   std::vector<WarpTask> tasks =
       BuildTasks(*table, grouped, options.rows_per_warp);
 
+  // `canon` is the calling task's own; it is reset once per row.
   auto filter_and_emit = [&](gpusim::WarpCtx& w, std::size_t row,
                              std::span<const Unit> emb,
                              const std::vector<graph::EdgeId>& cands,
+                             CanonicalRowContext& canon,
                              std::vector<Emit>* out) {
+    if (spec.canonical_only) canon.Reset(emb);
     for (graph::EdgeId cand : cands) {
       bool fresh = true;
       for (Unit u : emb) {
@@ -709,7 +747,7 @@ Result<ExtensionStats> EdgeExtend(EmbeddingTable* table,
       if (!fresh) continue;
       if (spec.canonical_only) {
         w.ChargeCompute(static_cast<double>(len * len));
-        if (!IsCanonicalEdgeExtension(g, emb, cand)) continue;
+        if (!canon.Accepts(cand)) continue;
       }
       if (spec.post_filter) {
         w.ChargeCompute(kPostFilterCycles);
@@ -745,6 +783,7 @@ Result<ExtensionStats> EdgeExtend(EmbeddingTable* table,
     ChargeTableRead(w, *table, lo, hi);
     std::vector<VertexId> verts, last_verts;
     std::vector<graph::EdgeId> base, extra, cands;
+    CanonicalRowContext canon(g);
     if (grouped) {
       // Hoist the shared prefix's incident edges.
       std::span<const Unit> prefix = flat.row(lo);
@@ -769,7 +808,7 @@ Result<ExtensionStats> EdgeExtend(EmbeddingTable* table,
                        std::back_inserter(cands));
         w.ChargeSimtWork(base.size() + extra.size(), 0.25);
         raw_candidates += cands.size();
-        filter_and_emit(w, r, emb, cands, out);
+        filter_and_emit(w, r, emb, cands, canon, out);
       }
     } else {
       for (std::size_t r = lo; r < hi; ++r) {
@@ -778,7 +817,7 @@ Result<ExtensionStats> EdgeExtend(EmbeddingTable* table,
         verts_of(emb, &verts);
         gather(w, verts, &cands);
         raw_candidates += cands.size();
-        filter_and_emit(w, r, emb, cands, out);
+        filter_and_emit(w, r, emb, cands, canon, out);
       }
     }
     return raw_candidates;

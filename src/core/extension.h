@@ -119,11 +119,45 @@ Result<ExtensionStats> EdgeExtend(EmbeddingTable* table,
                                   const EdgeExtensionSpec& spec,
                                   const ExtensionOptions& options);
 
-/// True when appending edge `e` to the (canonical) insertion sequence
-/// `edges` yields the canonical sequence of the extended edge set. Exposed
-/// for tests; EdgeExtend applies it when `canonical_only` is set.
+/// True when appending edge `e` to the insertion sequence `edges` yields
+/// the canonical sequence of the extended edge set: start at the smallest
+/// edge id, then repeatedly append the smallest id sharing a vertex with
+/// the prefix. The reference definition, run once per candidate by the CPU
+/// oracle and the tests; EdgeExtend decides the same question per row
+/// through CanonicalRowContext.
 bool IsCanonicalEdgeExtension(const graph::Graph& g,
                               std::span<const Unit> edges, Unit e);
+
+/// IsCanonicalEdgeExtension for one row against many candidates. Reset
+/// summarizes the row once: whether the row is itself canonical, the
+/// prefix length s (1-based) at which each row vertex first appears, and
+/// the suffix maxima of the row's edge ids. A candidate c that is not in
+/// the row is then canonical iff the row is, c > row[0], c touches the row
+/// first at some prefix length s, and c > max(row[s..k-1]): the canonical
+/// sequence of the extended set picks every row edge before c, and c last.
+/// A non-canonical row has no canonical extension, since dropping the last
+/// edge of a canonical sequence leaves one.
+class CanonicalRowContext {
+ public:
+  explicit CanonicalRowContext(const graph::Graph& g) : g_(&g) {}
+
+  void Reset(std::span<const Unit> row);
+
+  /// Equals IsCanonicalEdgeExtension(g, row, c) for every c not in the row.
+  bool Accepts(Unit c) const;
+
+ private:
+  // Prefix length at which `v` first appears; len_ + 1 when it never does.
+  int FirstSeen(graph::VertexId v) const;
+
+  const graph::Graph* g_;
+  int len_ = 0;
+  bool canonical_ = false;
+  Unit first_ = 0;
+  std::vector<std::pair<graph::VertexId, int>> first_seen_;
+  // suffix_max_[s] = max(row[s..len_-1]) for s in [1, len_); 0 at len_.
+  std::vector<Unit> suffix_max_;
+};
 
 }  // namespace gpm::core
 

@@ -411,6 +411,13 @@ Result<CompiledPlan> PatternCompiler::CompileFpm(int max_edges,
     return Status::InvalidArgument("max_edges must be >= 1, got " +
                                    std::to_string(max_edges));
   }
+  if (max_edges > CompiledPlan::kMaxFpmEdges) {
+    return Status::InvalidArgument(
+        "max_edges must be <= " + std::to_string(CompiledPlan::kMaxFpmEdges) +
+        " (a connected pattern of more edges can exceed " +
+        std::to_string(Pattern::kMaxVertices) + " vertices), got " +
+        std::to_string(max_edges));
+  }
   CompiledPlan plan;
   plan.kind = PlanKind::kFrequentMining;
   plan.max_edges = max_edges;

@@ -104,7 +104,9 @@ struct CompiledPlan {
   bool symmetry_broken = false;
   uint64_t automorphisms = 1;
   double estimated_cost = 0;
-  /// kFrequentMining parameters.
+  /// kFrequentMining parameters. A connected pattern with e edges can
+  /// span e + 1 vertices, and every mined pattern must fit in a Pattern.
+  static constexpr int kMaxFpmEdges = graph::Pattern::kMaxVertices - 1;
   int max_edges = 0;
   uint64_t min_support = 0;
 
@@ -183,7 +185,8 @@ class PatternCompiler {
   /// aggregation.
   Result<CompiledPlan> CompileMotifCensus(int k) const;
 
-  /// Frequent pattern mining (Algorithm 2) parameters.
+  /// Frequent pattern mining (Algorithm 2) parameters; max_edges must lie
+  /// in [1, CompiledPlan::kMaxFpmEdges].
   Result<CompiledPlan> CompileFpm(int max_edges, uint64_t min_support) const;
 
   /// Binary-join matching: one query edge per extension.

@@ -373,8 +373,14 @@ class Checker {
   }
 
   void StructuralFpm() {
-    Require(kStructural, plan_.max_edges >= 1, "fpm-params", -1,
-            "frequent mining needs max_edges >= 1");
+    Require(kStructural,
+            plan_.max_edges >= 1 &&
+                plan_.max_edges <= CompiledPlan::kMaxFpmEdges,
+            "fpm-params", -1,
+            "frequent mining needs 1 <= max_edges <= " +
+                std::to_string(CompiledPlan::kMaxFpmEdges) +
+                " (a connected pattern of more edges can exceed " +
+                std::to_string(Pattern::kMaxVertices) + " vertices)");
     Require(kStructural,
             plan_.order.empty() && plan_.levels.empty() &&
                 plan_.edge_order.empty(),

@@ -66,6 +66,20 @@ uint64_t CanonicalCode(const Pattern& p) {
   return HashBytes(CanonicalEncoding(p));
 }
 
-uint64_t RawCode(const Pattern& p) { return HashBytes(Encode(p)); }
+uint64_t RawCode(const Pattern& p) {
+  // Hashes the fields in place, with no byte vector: the vertex count and
+  // the upper-triangle adjacency bits share one word, then each label is
+  // mixed in.
+  const int n = p.num_vertices();
+  uint64_t shape = static_cast<uint64_t>(n);
+  for (int i = 0; i < n; ++i) {
+    for (int j = i + 1; j < n; ++j) {
+      if (p.HasEdge(i, j)) shape |= 1ull << (8 + i * Pattern::kMaxVertices + j);
+    }
+  }
+  uint64_t h = Mix64(shape);
+  for (int i = 0; i < n; ++i) h = Mix64(h ^ p.label(i));
+  return h;
+}
 
 }  // namespace gpm::graph

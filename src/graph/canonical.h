@@ -21,9 +21,10 @@ std::vector<uint8_t> CanonicalEncoding(const Pattern& p);
 /// CanonicalCache.
 uint64_t CanonicalCode(const Pattern& p);
 
-/// Order-*dependent* 64-bit code of a pattern as currently numbered. Much
-/// cheaper than CanonicalCode; two equal raw codes imply identical (not just
-/// isomorphic) patterns.
+/// Order-*dependent* 64-bit hash of a pattern as currently numbered, taken
+/// straight from its vertex count, adjacency bits and labels. Much cheaper
+/// than CanonicalCode: identical patterns have equal raw codes, and distinct
+/// ones collide only as a 64-bit hash can.
 uint64_t RawCode(const Pattern& p);
 
 /// Memoizes raw code → canonical code. The aggregation primitive maps every

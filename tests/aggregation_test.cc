@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/aggregation.h"
 #include "core/gamma.h"
 #include "graph/canonical.h"
@@ -87,6 +90,56 @@ TEST(AggregationTest, CodesAlignWithRows) {
     std::vector<graph::EdgeId> edges(emb.begin(), emb.end());
     graph::Pattern p = graph::PatternOfEdges(g, edges, true);
     EXPECT_EQ(r.value().codes[row], cache.Get(p));
+  }
+}
+
+// Each code's exemplar is the pattern of the lowest row carrying that code,
+// whatever the number of host threads coding the rows. The rows span many
+// map tasks, and most codes are reached through several vertex numberings,
+// so a later row's numbering would show.
+TEST(AggregationTest, ExemplarIsFirstRowWithCode) {
+  Rng rng(23);
+  graph::Graph g = graph::ErdosRenyi(60, 240, &rng);
+  graph::AssignLabelsZipf(&g, 3, 0.3, &rng);
+  g.EnsureEdgeIndex();
+  for (int host_threads : {1, 4}) {
+    gpusim::SimParams params = TestParams();
+    params.host_threads = host_threads;
+    gpusim::Device device(params);
+    GammaEngine engine(&device, &g, {});
+    ASSERT_TRUE(engine.Prepare().ok());
+    auto t = engine.InitEdgeTable();
+    ASSERT_TRUE(t.ok());
+    EdgeExtensionSpec spec;
+    ASSERT_TRUE(engine.EdgeExtension(t.value().get(), spec).ok());
+    ASSERT_TRUE(engine.EdgeExtension(t.value().get(), spec).ok());
+    const EmbeddingTable& table = *t.value();
+    ASSERT_GT(table.num_embeddings(), 4 * 256u);
+    PatternTable pt;
+    auto r = engine.Aggregation(table, &pt);
+    ASSERT_TRUE(r.ok());
+    const std::vector<uint64_t>& codes = r.value().codes;
+    std::vector<graph::Pattern> patterns;
+    for (const std::vector<Unit>& emb : table.Materialize()) {
+      patterns.push_back(graph::PatternOfEdges(g, emb, /*use_labels=*/true));
+    }
+    std::size_t renumbered = 0;  // codes reached through another numbering
+    for (const PatternEntry& e : pt.entries()) {
+      const std::size_t first = static_cast<std::size_t>(
+          std::find(codes.begin(), codes.end(), e.code) - codes.begin());
+      ASSERT_LT(first, codes.size());
+      EXPECT_TRUE(e.exemplar == patterns[first])
+          << host_threads << " threads: code " << e.code << " exemplar "
+          << e.exemplar.DebugString() << ", first row " << first << " is "
+          << patterns[first].DebugString();
+      for (std::size_t row = first + 1; row < codes.size(); ++row) {
+        if (codes[row] == e.code && !(patterns[row] == e.exemplar)) {
+          ++renumbered;
+          break;
+        }
+      }
+    }
+    EXPECT_GT(renumbered, pt.size() / 2) << host_threads << " threads";
   }
 }
 

@@ -25,6 +25,8 @@ expect_exit(2 "INVALID_ARGUMENT: motif census supports k in \\[2,5\\]"
             --task motif --k 7)
 expect_exit(2 "INVALID_ARGUMENT: max_edges must be >= 1"
             --task fpm --fpm-edges 0)
+expect_exit(2 "INVALID_ARGUMENT: max_edges must be <= 7"
+            --task fpm --fpm-edges 8)
 expect_exit(1 "--k: missing or malformed value" --k abc)
 expect_exit(1 "--k: missing or malformed value" --k)
 expect_exit(1 "unknown option: --trace-out" --trace-out x.json)

@@ -355,6 +355,7 @@ TEST(CompilerRejectionTest, InvalidInputsReturnInvalidArgument) {
       {"motif k=1", compiler.CompileMotifCensus(1)},
       {"motif k=6", compiler.CompileMotifCensus(6)},
       {"fpm max_edges=0", compiler.CompileFpm(0, 1)},
+      {"fpm max_edges=8", compiler.CompileFpm(8, 1)},
       {"empty pattern", compiler.CompileMatch(graph::Pattern(), {})},
       {"disconnected pattern", compiler.CompileMatch(disconnected, {})},
       {"disconnected edge join", compiler.CompileEdgeJoin(disconnected)},

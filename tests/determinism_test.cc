@@ -5,7 +5,8 @@
 //    address- or hash-order-dependent arithmetic), and
 //  * running warp tasks on a host thread pool (SimParams::host_threads)
 //    changes nothing: the record/replay executor must reproduce the
-//    serial schedule's counters and cycles bit-for-bit, whatever
+//    serial schedule's counters and cycles bit-for-bit, and its pattern
+//    tables down to each exemplar's vertex numbering, whatever
 //    interleaving the pool picked.
 //
 // Also pins the stream attribution of count-only extension kernels: they
@@ -22,6 +23,8 @@
 #include "core/compiled_engine.h"
 #include "core/gamma.h"
 #include "core/pattern_compiler.h"
+#include "core/pattern_table.h"
+#include "graph/canonical.h"
 #include "graph/generators.h"
 #include "graph/pattern.h"
 #include "gpusim/device.h"
@@ -65,6 +68,9 @@ struct RunOutcome {
   gpusim::DeviceStats stats;
   double cycles = 0;
   uint64_t embeddings = 0;
+  // FPM: the pattern table, in entry order. Motif census: one entry per
+  // census row (exemplar, instance count), coded canonically.
+  std::vector<core::PatternEntry> patterns;
 };
 
 Result<core::CompiledPlan> CompileAlgo(Algo algo, const graph::Graph& g) {
@@ -115,8 +121,16 @@ RunOutcome RunAlgo(Algo algo, const graph::Graph& g, int host_threads) {
   auto run = core::CompiledEngine(&engine).Run(plan.value());
   EXPECT_TRUE(run.ok());
   ExpectPhasesTileRun(device, AlgoName(algo));
-  return {device.stats().Snapshot(), device.now_cycles(),
-          run.ok() ? run.value().embeddings : 0};
+  RunOutcome out{device.stats().Snapshot(), device.now_cycles(), 0, {}};
+  if (!run.ok()) return out;
+  out.embeddings = run.value().embeddings;
+  out.patterns = run.value().patterns.entries();
+  for (const auto& [shape, count] : run.value().motifs) {
+    out.patterns.push_back(
+        {.code = graph::CanonicalCode(shape), .exemplar = shape,
+         .support = count});
+  }
+  return out;
 }
 
 void ExpectBitIdentical(const RunOutcome& a, const RunOutcome& b,
@@ -128,6 +142,19 @@ void ExpectBitIdentical(const RunOutcome& a, const RunOutcome& b,
   // Exact double equality on purpose: the determinism contract is
   // bit-identity of the cycle arithmetic, not closeness.
   EXPECT_EQ(a.cycles, b.cycles) << label << ": clock diverged";
+  // Pattern tables match entry for entry: code, support, validity and the
+  // exemplar's exact vertex numbering, which gamma_cli prints.
+  ASSERT_EQ(a.patterns.size(), b.patterns.size()) << label;
+  for (std::size_t i = 0; i < a.patterns.size(); ++i) {
+    const core::PatternEntry& x = a.patterns[i];
+    const core::PatternEntry& y = b.patterns[i];
+    EXPECT_EQ(x.code, y.code) << label << ": entry " << i;
+    EXPECT_EQ(x.support, y.support) << label << ": entry " << i;
+    EXPECT_EQ(x.valid, y.valid) << label << ": entry " << i;
+    EXPECT_TRUE(x.exemplar == y.exemplar)
+        << label << ": entry " << i << " exemplar "
+        << x.exemplar.DebugString() << " vs " << y.exemplar.DebugString();
+  }
 }
 
 TEST(DeterminismTest, DoubleRunIsBitIdentical) {
@@ -145,6 +172,11 @@ TEST(DeterminismTest, HostThreadPoolIsBitIdentical) {
   for (Algo algo : {Algo::kKcl, Algo::kMotif, Algo::kFpm, Algo::kSm}) {
     RunOutcome serial = RunAlgo(algo, g, /*host_threads=*/1);
     RunOutcome pooled = RunAlgo(algo, g, /*host_threads=*/4);
+    // The aggregation map codes rows on every pool thread, each task with
+    // its own pattern memo and exemplars.
+    if (algo == Algo::kFpm || algo == Algo::kMotif) {
+      EXPECT_FALSE(serial.patterns.empty()) << AlgoName(algo);
+    }
     ExpectBitIdentical(serial, pooled,
                        std::string(AlgoName(algo)) + " 1 vs 4 host threads");
   }

@@ -240,6 +240,80 @@ TEST(EdgeExtensionTest, IsCanonicalExtensionBasics) {
   EXPECT_FALSE(IsCanonicalEdgeExtension(g, base, 5));
 }
 
+// CanonicalRowContext must decide exactly what IsCanonicalEdgeExtension
+// decides, for every candidate edge not in the row. Rows of 1-6 distinct
+// edges come three ways: canonical growth (each step a canonical
+// extension, so most candidates face a canonical row), connected growth
+// in random order (mostly non-canonical rows), and uniformly random edges
+// (mostly disconnected rows).
+TEST(EdgeExtensionTest, RowContextMatchesReference) {
+  enum class Draw { kCanonical, kConnected, kRandom };
+  std::size_t pairs = 0, accepted = 0, canonical_rows = 0, rows = 0;
+  for (uint64_t seed : {51, 52, 53, 54}) {
+    Rng rng(seed);
+    graph::Graph g = seed % 2 == 0 ? graph::ErdosRenyi(14, 40, &rng)
+                                   : graph::PowerLaw(24, 70, 0.8, &rng);
+    g.EnsureEdgeIndex();
+    const auto& edges = g.edge_list();
+    const Unit num_edges = static_cast<Unit>(edges.size());
+    auto in_row = [](const std::vector<Unit>& row, Unit e) {
+      return std::find(row.begin(), row.end(), e) != row.end();
+    };
+    auto touches = [&edges](const std::vector<Unit>& row, Unit e) {
+      for (Unit r : row) {
+        if (edges[r].u == edges[e].u || edges[r].u == edges[e].v ||
+            edges[r].v == edges[e].u || edges[r].v == edges[e].v) {
+          return true;
+        }
+      }
+      return false;
+    };
+    CanonicalRowContext context(g);
+    for (Draw draw : {Draw::kCanonical, Draw::kConnected, Draw::kRandom}) {
+      for (int trial = 0; trial < 60; ++trial) {
+        const std::size_t len = 1 + trial % 6;
+        std::vector<Unit> row{
+            static_cast<Unit>(rng.NextBounded(num_edges))};
+        while (row.size() < len) {
+          std::vector<Unit> next;
+          for (Unit e = 0; e < num_edges; ++e) {
+            if (in_row(row, e)) continue;
+            const bool ok =
+                draw == Draw::kRandom ||
+                (draw == Draw::kConnected
+                     ? touches(row, e)
+                     : IsCanonicalEdgeExtension(g, row, e));
+            if (ok) next.push_back(e);
+          }
+          if (next.empty()) break;
+          row.push_back(next[rng.NextBounded(next.size())]);
+        }
+        context.Reset(row);
+        ++rows;
+        if (IsCanonicalEdgeExtension(
+                g, std::span<const Unit>(row).first(row.size() - 1),
+                row.back())) {
+          ++canonical_rows;
+        }
+        for (Unit c = 0; c < num_edges; ++c) {
+          if (in_row(row, c)) continue;
+          const bool want = IsCanonicalEdgeExtension(g, row, c);
+          ASSERT_EQ(context.Accepts(c), want)
+              << "seed " << seed << ", row of " << row.size()
+              << " edges starting at " << row[0] << ", candidate " << c;
+          ++pairs;
+          accepted += want;
+        }
+      }
+    }
+  }
+  // Both verdicts and both row kinds are well represented.
+  EXPECT_GT(pairs, 10000u);
+  EXPECT_GT(accepted, 1000u);
+  EXPECT_GT(canonical_rows, rows / 3);
+  EXPECT_LT(canonical_rows, rows);
+}
+
 TEST(EdgeExtensionTest, ThreeEdgeSetsMatchBruteForce) {
   Rng rng(31);
   graph::Graph g = graph::ErdosRenyi(30, 80, &rng);

@@ -222,9 +222,10 @@ TEST(IsomorphismTest, EnumerateMatchesCount) {
 
 TEST(IsomorphismTest, PatternOfVerticesInduced) {
   Graph g = ToyGraph();
-  Pattern p = PatternOfVertices(g, {0, 1, 2}, /*use_labels=*/false);
+  Pattern p = PatternOfVertices(g, std::vector<VertexId>{0, 1, 2},
+                                /*use_labels=*/false);
   EXPECT_EQ(CanonicalCode(p), CanonicalCode(Pattern::Triangle()));
-  Pattern q = PatternOfVertices(g, {0, 1, 3}, false);
+  Pattern q = PatternOfVertices(g, std::vector<VertexId>{0, 1, 3}, false);
   EXPECT_EQ(q.num_edges(), 2);  // wedge 0-1, 1-3
 }
 
@@ -233,8 +234,27 @@ TEST(IsomorphismTest, PatternOfEdges) {
   g.EnsureEdgeIndex();
   EdgeId e01 = g.FindEdgeId(0, 1);
   EdgeId e12 = g.FindEdgeId(1, 2);
-  Pattern p = PatternOfEdges(g, {e01, e12}, false);
+  Pattern p = PatternOfEdges(g, std::vector<EdgeId>{e01, e12}, false);
   EXPECT_EQ(CanonicalCode(p), CanonicalCode(Pattern::Path(3)));
+}
+
+// PatternOfEdges numbers vertices in fixed storage of kMaxVertices slots:
+// an edge set spanning one more vertex fails its size check, as building
+// the Pattern itself would, instead of writing past the buffer.
+TEST(IsomorphismDeathTest, PatternOfEdgesRejectsNineVertices) {
+  std::vector<Edge> star;
+  for (VertexId leaf = 1; leaf <= Pattern::kMaxVertices; ++leaf) {
+    star.push_back({0, leaf});
+  }
+  Graph g = Graph::FromEdges(Pattern::kMaxVertices + 1, star);
+  g.EnsureEdgeIndex();
+  // Edge e joins the center to leaf e + 1.
+  std::vector<EdgeId> edges;
+  for (EdgeId e = 0; e + 1 < Pattern::kMaxVertices; ++e) edges.push_back(e);
+  EXPECT_EQ(PatternOfEdges(g, edges, false).num_vertices(),
+            Pattern::kMaxVertices);
+  edges.push_back(Pattern::kMaxVertices - 1);
+  EXPECT_DEATH(PatternOfEdges(g, edges, false), "pattern size out of range");
 }
 
 TEST(ParsePatternTest, EdgesOnly) {

@@ -188,6 +188,12 @@ TEST(VerifierRefutationTest, StructuralObligations) {
     bad.max_edges = 0;
     ExpectRefuted(g, bad, "fpm-params");
   }
+  {  // frequent mining past the largest pattern (8 edges can span 9
+     // vertices)
+    core::CompiledPlan bad = compiler.CompileFpm(3, 40).value();
+    bad.max_edges = core::CompiledPlan::kMaxFpmEdges + 1;
+    ExpectRefuted(g, bad, "fpm-params");
+  }
   {  // edge-join step that is not a pattern edge (diamond lacks 1-3)
     core::CompiledPlan bad =
         compiler.CompileEdgeJoin(graph::Pattern::Diamond()).value();
@@ -427,6 +433,30 @@ TEST(PlanParseTest, RejectsMalformedDocuments) {
                                                "\"order\": [\n    0,",
                                                "\"order\": [\n    99,"))
                    .ok());
+}
+
+// An external plan document can ask for an edge budget the compiler
+// refuses; the gate must stop it before any kernel (an 8-edge pattern
+// with 9 vertices would abort in Pattern's size check).
+TEST(VerifierGateTest, EngineRefusesOversizedFpmDocument) {
+  graph::Graph g = RandomLabeled(11, 60, 500);
+  const std::string doc =
+      core::PatternCompiler(&g).CompileFpm(3, 1).value().ToJson();
+  auto parsed =
+      core::ParsePlanJson(ReplaceOnce(doc, "\"max_edges\": 3",
+                                      "\"max_edges\": 8"));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+  ASSERT_EQ(parsed.value().max_edges, 8);
+
+  gpusim::Device device(TestParams());
+  core::GammaEngine engine(&device, &g, {});
+  ASSERT_TRUE(engine.Prepare().ok());
+  auto run = core::CompiledEngine(&engine).Run(parsed.value());
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), ErrorCode::kFailedPrecondition);
+  EXPECT_NE(run.status().message().find("fpm-params"), std::string::npos)
+      << run.status().message();
+  EXPECT_EQ(device.stats().kernel_launches, 0u);
 }
 
 TEST(PatternHardeningTest, InlineSpecRejectsAbuse) {
