@@ -34,14 +34,14 @@ void BM_SmLocality(benchmark::State& state, std::string dataset,
     double overlap_sum = 0;
     int overlap_steps = 0;
     for (std::size_t d = 1; d < order.size(); ++d) {
-      core::VertexExtensionSpec spec;
+      core::CompiledLevel level;
       for (std::size_t j = 0; j < d; ++j) {
         if (q.HasEdge(order[d], order[j])) {
-          spec.intersect_positions.push_back(static_cast<int>(j));
+          level.intersect_positions.push_back(static_cast<int>(j));
         }
       }
-      spec.candidate_label = q.label(order[d]);
-      auto r = engine.VertexExtension(table.value().get(), spec);
+      level.candidate_label = q.label(order[d]);
+      auto r = engine.VertexExtension(table.value().get(), level);
       if (!r.ok()) {
         bench::SkipCrashed(state, r.status());
         return;
@@ -72,10 +72,10 @@ void BM_KclLocality(benchmark::State& state, std::string dataset,
     double overlap_sum = 0;
     int overlap_steps = 0;
     for (int depth = 1; depth < 4; ++depth) {
-      core::VertexExtensionSpec spec;
-      for (int j = 0; j < depth; ++j) spec.intersect_positions.push_back(j);
-      spec.require_ascending = true;
-      auto r = engine.VertexExtension(table.value().get(), spec);
+      core::CompiledLevel level;
+      for (int j = 0; j < depth; ++j) level.intersect_positions.push_back(j);
+      level.require_ascending = true;
+      auto r = engine.VertexExtension(table.value().get(), level);
       if (!r.ok()) {
         bench::SkipCrashed(state, r.status());
         return;

@@ -20,7 +20,7 @@ core::GammaOptions OverlapOptions(std::size_t streams) {
   core::GammaOptions options = bench::BenchGammaOptions();
   options.extension.chunk_rows = 2048;
   options.extension.num_streams = streams;
-  options.aggregation.sort.num_streams = streams;
+  options.sort.num_streams = streams;
   return options;
 }
 

@@ -518,7 +518,7 @@ core::GammaOptions FrameworkOptions(const CliOptions& o) {
   options.extension.pre_merge = o.pre_merge;
   if (o.streams > 0) {
     options.extension.num_streams = o.streams;
-    options.aggregation.sort.num_streams = o.streams;
+    options.sort.num_streams = o.streams;
   }
   if (o.extension_chunk_rows > 0) {
     options.extension.chunk_rows = o.extension_chunk_rows;

@@ -51,10 +51,10 @@ int main() {
   auto table = engine.InitVertexTable();
   if (!table.ok()) return 1;
   for (int depth = 1; depth < 3; ++depth) {
-    core::VertexExtensionSpec spec;
-    for (int j = 0; j < depth; ++j) spec.intersect_positions.push_back(j);
-    spec.require_ascending = true;
-    auto stats = engine.VertexExtension(table.value().get(), spec);
+    core::CompiledLevel level;
+    for (int j = 0; j < depth; ++j) level.intersect_positions.push_back(j);
+    level.require_ascending = true;
+    auto stats = engine.VertexExtension(table.value().get(), level);
     if (!stats.ok()) return 1;
     std::printf("extension %d: %zu -> %zu embeddings (%zu kernels)\n",
                 depth, stats.value().input_rows, stats.value().results,

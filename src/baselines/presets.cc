@@ -8,7 +8,7 @@ core::GammaOptions GammaDefaultOptions() {
   options.extension.write_strategy = core::WriteStrategy::kDynamicAlloc;
   options.extension.pre_merge = true;
   options.filter.compress = true;
-  options.aggregation.sort.method = core::SortMethod::kGammaMultiMerge;
+  options.sort.method = core::SortMethod::kGammaMultiMerge;
   options.device_resident_tables = false;
   return options;
 }
@@ -19,8 +19,8 @@ core::GammaOptions PangolinGpuOptions() {
   options.extension.write_strategy = core::WriteStrategy::kNaiveTwoPass;
   options.extension.pre_merge = false;
   options.filter.compress = false;
-  options.aggregation.sort.method = core::SortMethod::kGammaMultiMerge;
-  options.aggregation.sort.in_core_only = true;
+  options.sort.method = core::SortMethod::kGammaMultiMerge;
+  options.sort.in_core_only = true;
   options.device_resident_tables = true;
   return options;
 }
@@ -31,7 +31,7 @@ core::GammaOptions GsiOptions() {
   options.extension.write_strategy = core::WriteStrategy::kPreAlloc;
   options.extension.pre_merge = false;
   options.filter.compress = false;
-  options.aggregation.sort.in_core_only = true;
+  options.sort.in_core_only = true;
   options.device_resident_tables = true;
   return options;
 }

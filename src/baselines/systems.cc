@@ -1,7 +1,5 @@
 #include "baselines/systems.h"
 
-#include <algorithm>
-
 #include "baselines/presets.h"
 #include "core/compiled_engine.h"
 
@@ -9,23 +7,15 @@ namespace gpm::baselines {
 namespace {
 
 // Runs `plan` on a fresh engine over `g` and snapshots the device. In-core
-// systems (`fit_pool`) size their write buffers from whatever device
-// memory the graph left free — they have no host spill to fall back on.
+// presets get their write pool fitted to free device memory by Prepare.
 Result<GpuRunResult> RunGpuSystem(gpusim::Device* device,
                                   const graph::Graph& g,
                                   const core::GammaOptions& options,
-                                  bool fit_pool,
                                   const Result<core::CompiledPlan>& plan) {
   if (!plan.ok()) return plan.status();
   core::GammaEngine engine(device, &g, options);
   Status st = engine.Prepare();
   if (!st.ok()) return st;
-  if (fit_pool) {
-    std::size_t free_bytes = device->memory().available_bytes();
-    std::size_t pool = std::max<std::size_t>(64 << 10, free_bytes / 2);
-    engine.mutable_options().extension.pool_bytes =
-        std::min(engine.options().extension.pool_bytes, pool);
-  }
   auto run = core::CompiledEngine(&engine).Run(plan.value());
   if (!run.ok()) return run.status();
 
@@ -58,28 +48,28 @@ CpuModel GraphMinerModel() {
 
 Result<GpuRunResult> PangolinGpuKClique(gpusim::Device* device,
                                         const graph::Graph& g, int k) {
-  return RunGpuSystem(device, g, PangolinGpuOptions(), /*fit_pool=*/true,
+  return RunGpuSystem(device, g, PangolinGpuOptions(),
                       core::PatternCompiler(&g).CompileKClique(k, false));
 }
 
 Result<GpuRunResult> PangolinGpuFpm(gpusim::Device* device,
                                     const graph::Graph& g, int max_edges,
                                     uint64_t min_support) {
-  return RunGpuSystem(device, g, PangolinGpuOptions(), /*fit_pool=*/true,
+  return RunGpuSystem(device, g, PangolinGpuOptions(),
                       core::PatternCompiler(&g).CompileFpm(max_edges,
                                                            min_support));
 }
 
 Result<GpuRunResult> GsiMatch(gpusim::Device* device, const graph::Graph& g,
                               const graph::Pattern& query) {
-  return RunGpuSystem(device, g, GsiOptions(), /*fit_pool=*/true,
+  return RunGpuSystem(device, g, GsiOptions(),
                       core::PatternCompiler(&g).CompileMatch(query, {}));
 }
 
 Result<GpuRunResult> GammaKClique(gpusim::Device* device,
                                   const graph::Graph& g, int k,
                                   const core::GammaOptions& options) {
-  return RunGpuSystem(device, g, options, /*fit_pool=*/false,
+  return RunGpuSystem(device, g, options,
                       core::PatternCompiler(&g).CompileKClique(k, false));
 }
 
@@ -87,14 +77,14 @@ Result<GpuRunResult> GammaMatch(gpusim::Device* device,
                                 const graph::Graph& g,
                                 const graph::Pattern& query,
                                 const core::GammaOptions& options) {
-  return RunGpuSystem(device, g, options, /*fit_pool=*/false,
+  return RunGpuSystem(device, g, options,
                       core::PatternCompiler(&g).CompileMatch(query, {}));
 }
 
 Result<GpuRunResult> GammaFpm(gpusim::Device* device, const graph::Graph& g,
                               int max_edges, uint64_t min_support,
                               const core::GammaOptions& options) {
-  return RunGpuSystem(device, g, options, /*fit_pool=*/false,
+  return RunGpuSystem(device, g, options,
                       core::PatternCompiler(&g).CompileFpm(max_edges,
                                                            min_support));
 }

@@ -2,7 +2,6 @@
 
 #include <mutex>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/logging.h"
 #include "graph/canonical.h"
@@ -28,8 +27,8 @@ using PatternMemo = std::unordered_map<graph::Pattern, uint64_t, RawCodeHash>;
 
 Result<AggregationResult> Aggregate(const EmbeddingTable& table,
                                     GraphAccessor* accessor,
-                                    PatternTable* pt,
-                                    const AggregationOptions& options) {
+                                    PatternTable* pt, bool use_labels,
+                                    const SortOptions& sort) {
   AggregationResult result;
   const std::size_t rows = table.num_embeddings();
   const int len = table.length();
@@ -92,8 +91,8 @@ Result<AggregationResult> Aggregate(const EmbeddingTable& table,
           }
           const graph::Pattern p =
               table.kind() == TableKind::kEdge
-                  ? graph::PatternOfEdges(g, emb, options.use_labels)
-                  : graph::PatternOfVertices(g, emb, options.use_labels);
+                  ? graph::PatternOfEdges(g, emb, use_labels)
+                  : graph::PatternOfVertices(g, emb, use_labels);
           auto [it, miss] = local.try_emplace(p, 0);
           if (miss) {
             it->second = canonical_of(p);
@@ -111,8 +110,7 @@ Result<AggregationResult> Aggregate(const EmbeddingTable& table,
 
   // Sort the code column (out-of-core capable) and count runs.
   std::vector<uint64_t> sorted = result.codes;
-  SortOptions sort_options = options.sort;
-  auto sort_stats = SortKeys(device, &sorted, sort_options);
+  auto sort_stats = SortKeys(device, &sorted, sort);
   if (!sort_stats.ok()) return sort_stats.status();
   result.sort_stats = sort_stats.value();
 
@@ -133,45 +131,8 @@ Result<AggregationResult> Aggregate(const EmbeddingTable& table,
   }
   result.distinct_patterns = counts.size();
 
-  if (options.support == SupportMeasure::kInstanceCount) {
-    for (auto& [code, count] : counts) {
-      pt->Accumulate(code, exemplars.at(code), count);
-    }
-  } else {
-    // MNI: min over pattern positions of distinct data vertices seen at
-    // that position. Positions follow the embedding's unit order (for
-    // e-ET, the first-seen vertex order used by PatternOfEdges).
-    std::unordered_map<uint64_t,
-                       std::vector<std::unordered_set<graph::VertexId>>>
-        images;
-    for (std::size_t r = 0; r < rows; ++r) {
-      std::vector<Unit> emb =
-          table.GetEmbedding(len - 1, static_cast<RowIndex>(r));
-      std::vector<graph::VertexId> verts;
-      if (table.kind() == TableKind::kEdge) {
-        for (Unit e : emb) {
-          const graph::Edge& ed = g.edge_list()[e];
-          if (std::find(verts.begin(), verts.end(), ed.u) == verts.end())
-            verts.push_back(ed.u);
-          if (std::find(verts.begin(), verts.end(), ed.v) == verts.end())
-            verts.push_back(ed.v);
-        }
-      } else {
-        verts.assign(emb.begin(), emb.end());
-      }
-      auto& img = images[result.codes[r]];
-      if (img.size() < verts.size()) img.resize(verts.size());
-      for (std::size_t i = 0; i < verts.size(); ++i) {
-        img[i].insert(verts[i]);
-      }
-    }
-    for (auto& [code, img] : images) {
-      uint64_t mni = img.empty() ? 0 : img.front().size();
-      for (const auto& s : img) {
-        mni = std::min<uint64_t>(mni, s.size());
-      }
-      pt->SetSupport(code, exemplars.at(code), mni);
-    }
+  for (auto& [code, count] : counts) {
+    pt->Accumulate(code, exemplars.at(code), count);
   }
   return result;
 }

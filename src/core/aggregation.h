@@ -12,25 +12,6 @@
 
 namespace gpm::core {
 
-/// Support measure used when aggregating embeddings into patterns.
-enum class SupportMeasure : uint8_t {
-  /// Number of instances of the pattern (the paper's definition, §III).
-  kInstanceCount,
-  /// Minimum node image: min over pattern positions of the number of
-  /// distinct data vertices appearing there (anti-monotone; common in
-  /// other FPM systems, provided as an extension).
-  kMni,
-};
-
-struct AggregationOptions {
-  /// Map embeddings to labeled patterns (true for FPM over labeled data).
-  bool use_labels = true;
-  SupportMeasure support = SupportMeasure::kInstanceCount;
-  /// Sorting backend for the canonical-code table; the pattern table can
-  /// exceed device memory, which is what Optimization 3 addresses.
-  SortOptions sort;
-};
-
 struct AggregationResult {
   /// codes[r] = canonical pattern code of embedding r (aligned with the
   /// last column). Retained so Filtering can drop instances of invalid
@@ -42,12 +23,13 @@ struct AggregationResult {
 };
 
 /// The aggregation primitive (§III-B2): maps every embedding of `table` to
-/// its pattern's canonical label, sorts the label column (out-of-core when
-/// needed), counts support per pattern, and accumulates into `pt`.
+/// its pattern's canonical label (with data labels when `use_labels`),
+/// sorts the label column with `sort` (out-of-core when needed), counts
+/// each pattern's instances as its support, and accumulates into `pt`.
 Result<AggregationResult> Aggregate(const EmbeddingTable& table,
                                     GraphAccessor* accessor,
-                                    PatternTable* pt,
-                                    const AggregationOptions& options);
+                                    PatternTable* pt, bool use_labels,
+                                    const SortOptions& sort);
 
 }  // namespace gpm::core
 

@@ -80,40 +80,14 @@ Result<CompiledRunResult> CompiledEngine::RunVertexPlan(
     prof->EndSegment(/*input_rows=*/0, /*candidates=*/0, rows);
   }
 
-  const ExtensionOptions saved = engine_->options().extension;
   uint64_t last_count = 0;
   bool counted_only = false;
   for (std::size_t i = 0; i < plan.levels.size(); ++i) {
     const CompiledLevel& level = plan.levels[i];
     const int depth = plan.first_depth() + static_cast<int>(i);
-    VertexExtensionSpec spec;
-    spec.intersect_positions = level.intersect_positions;
-    spec.candidate_label = level.candidate_label;
-    spec.require_ascending = level.require_ascending;
-    spec.enforce_injective = level.enforce_injective;
-    spec.count_only = level.count_only;
-    if (!level.restrictions.empty()) {
-      // Same closure the legacy symmetric matcher installed: the matched
-      // side of each restriction is already in the embedding, the other
-      // side is the candidate.
-      const std::vector<SymmetryRestriction> applicable =
-          level.restrictions;
-      spec.post_filter = [applicable, depth](std::span<const Unit> emb,
-                                             Unit cand) {
-        for (const SymmetryRestriction& r : applicable) {
-          if (r.larger_pos == depth) {
-            if (!(emb[r.smaller_pos] < cand)) return false;
-          } else {
-            if (!(cand < emb[r.larger_pos])) return false;
-          }
-        }
-        return true;
-      };
-    }
-    ExtensionOptions& live = engine_->mutable_options().extension;
-    if (level.write_strategy) live.write_strategy = *level.write_strategy;
-    if (level.pre_merge) live.pre_merge = *level.pre_merge;
     if (prof != nullptr) {
+      const ExtensionOptions resolved =
+          level.Resolve(engine_->options().extension);
       PlanProfLevelInput in;
       in.label = LevelLabel("L", depth);
       in.depth = depth;
@@ -123,15 +97,14 @@ Result<CompiledRunResult> CompiledEngine::RunVertexPlan(
           static_cast<int>(level.intersect_positions.size());
       in.union_extension = level.intersect_positions.empty();
       in.has_strategy = true;
-      in.strategy.write_strategy = WriteStrategyName(live.write_strategy);
+      in.strategy.write_strategy = WriteStrategyName(resolved.write_strategy);
       in.strategy.write_strategy_from_plan = level.write_strategy.has_value();
-      in.strategy.pre_merge = live.pre_merge;
+      in.strategy.pre_merge = resolved.pre_merge;
       in.strategy.pre_merge_from_plan = level.pre_merge.has_value();
       in.strategy.count_only = level.count_only;
       prof->BeginSegment(std::move(in));
     }
-    auto stats = engine_->VertexExtension(et, spec);
-    engine_->mutable_options().extension = saved;
+    auto stats = engine_->VertexExtension(et, level);
     if (!stats.ok()) {
       if (prof != nullptr) prof->AbortRun();
       return stats.status();
@@ -151,16 +124,13 @@ Result<CompiledRunResult> CompiledEngine::RunVertexPlan(
     // Aggregate by unlabeled induced shape, dividing each support by the
     // shape's connected-prefix ordering multiplicity.
     PatternTable pt;
-    const bool use_labels = engine_->options().aggregation.use_labels;
-    engine_->mutable_options().aggregation.use_labels = false;
     if (prof != nullptr) {
       PlanProfLevelInput in;
       in.label = "aggregate";
       in.depth = plan.first_depth() + static_cast<int>(plan.levels.size());
       prof->BeginSegment(std::move(in));
     }
-    auto agg = engine_->Aggregation(*et, &pt);
-    engine_->mutable_options().aggregation.use_labels = use_labels;
+    auto agg = engine_->Aggregation(*et, &pt, /*use_labels=*/false);
     if (!agg.ok()) {
       if (prof != nullptr) prof->AbortRun();
       return agg.status();
@@ -229,7 +199,8 @@ Result<CompiledRunResult> CompiledEngine::RunFrequentMining(
       prof->BeginSegment(std::move(in));
     }
     // PT = PT ∪ Aggregation(ET, m_f)
-    auto agg = engine_->Aggregation(*et, &result.patterns);
+    auto agg =
+        engine_->Aggregation(*et, &result.patterns, /*use_labels=*/true);
     if (!agg.ok()) {
       if (prof != nullptr) prof->AbortRun();
       return agg.status();

@@ -29,11 +29,10 @@ struct CompiledRunResult {
 };
 
 /// The one generic execution loop all four mining workloads run on: a
-/// CompiledPlan interpreter over GammaEngine primitives. Each level builds
-/// its VertexExtensionSpec / EdgeExtensionSpec from plan data; per-level
-/// strategy overrides are applied around the primitive call and restored
-/// after, so inherit-mode plans are bit-identical to the legacy
-/// hand-specialized algorithms.
+/// CompiledPlan interpreter over GammaEngine primitives. Vertex plans hand
+/// each CompiledLevel to VertexExtension unchanged (the primitive applies
+/// its strategy overrides for that call only); edge plans build an
+/// EdgeExtensionSpec per step. The interpreter never writes engine state.
 class CompiledEngine {
  public:
   explicit CompiledEngine(GammaEngine* engine) : engine_(engine) {}

@@ -14,7 +14,8 @@ namespace {
 using graph::VertexId;
 
 constexpr std::size_t kEntryBytes = sizeof(Unit) + sizeof(RowIndex);
-// Cycles charged per post_filter invocation.
+// Cycles charged per post_filter invocation, and per candidate checked
+// against a level's restrictions.
 constexpr double kPostFilterCycles = 4.0;
 
 const char* KindName(TableKind kind) {
@@ -421,23 +422,41 @@ const char* WriteStrategyName(WriteStrategy strategy) {
   return "?";
 }
 
+ExtensionOptions CompiledLevel::Resolve(
+    const ExtensionOptions& engine) const {
+  ExtensionOptions options = engine;
+  if (write_strategy) options.write_strategy = *write_strategy;
+  if (pre_merge) options.pre_merge = *pre_merge;
+  return options;
+}
+
 Result<ExtensionStats> VertexExtend(EmbeddingTable* table,
                                     GraphAccessor* accessor,
-                                    const VertexExtensionSpec& spec,
-                                    const ExtensionOptions& options) {
+                                    const CompiledLevel& level,
+                                    const ExtensionOptions& engine_options) {
   GAMMA_CHECK(table->kind() == TableKind::kVertex)
       << "VertexExtend on " << KindName(table->kind()) << " table";
   GAMMA_CHECK(table->length() > 0) << "extension of uninitialized table";
   const int len = table->length();
-  for (int p : spec.intersect_positions) {
+  for (int p : level.intersect_positions) {
     GAMMA_CHECK(p >= 0 && p < len) << "intersect position out of range";
   }
+  // The candidate sits at position len; every restriction pairs it with a
+  // matched column.
+  for (const SymmetryRestriction& r : level.restrictions) {
+    GAMMA_CHECK((r.larger_pos == len && r.smaller_pos >= 0 &&
+                 r.smaller_pos < len) ||
+                (r.smaller_pos == len && r.larger_pos >= 0 &&
+                 r.larger_pos < len))
+        << "restriction not anchored at the candidate position";
+  }
+  const ExtensionOptions options = level.Resolve(engine_options);
 
   const graph::Graph& g = accessor->graph();
   Flattened flat = Flatten(*table);
 
   // Positions actually used to produce candidates.
-  std::vector<int> positions = spec.intersect_positions;
+  std::vector<int> positions = level.intersect_positions;
   const bool union_mode = positions.empty();
   if (union_mode) {
     positions.resize(len);
@@ -481,15 +500,15 @@ Result<ExtensionStats> VertexExtend(EmbeddingTable* table,
                              std::span<const Unit> emb,
                              const std::vector<VertexId>& cands,
                              std::vector<Emit>* out) {
-    if (spec.enforce_injective || spec.require_ascending) {
+    if (level.enforce_injective || level.require_ascending) {
       w.ChargeSimtWork(cands.size() * len, 0.5);
     }
-    if (spec.candidate_label != graph::Pattern::kAnyLabel) {
+    if (level.candidate_label != graph::Pattern::kAnyLabel) {
       // Warp-coalesced label fetch for the whole candidate list.
       accessor->ChargeLabelsBatch(w, cands);
     }
     for (VertexId cand : cands) {
-      if (spec.require_ascending) {
+      if (level.require_ascending) {
         bool ascending = true;
         for (Unit u : emb) {
           if (cand <= u) {
@@ -499,7 +518,7 @@ Result<ExtensionStats> VertexExtend(EmbeddingTable* table,
         }
         if (!ascending) continue;
       }
-      if (spec.enforce_injective) {
+      if (level.enforce_injective) {
         bool distinct = true;
         for (Unit u : emb) {
           if (u == cand) {
@@ -509,13 +528,21 @@ Result<ExtensionStats> VertexExtend(EmbeddingTable* table,
         }
         if (!distinct) continue;
       }
-      if (spec.candidate_label != graph::Pattern::kAnyLabel &&
-          g.label(cand) != spec.candidate_label) {
+      if (level.candidate_label != graph::Pattern::kAnyLabel &&
+          g.label(cand) != level.candidate_label) {
         continue;  // label traffic charged batched above
       }
-      if (spec.post_filter) {
+      if (!level.restrictions.empty()) {
         w.ChargeCompute(kPostFilterCycles);
-        if (!spec.post_filter(emb, cand)) continue;
+        bool ordered = true;
+        for (const SymmetryRestriction& r : level.restrictions) {
+          if (r.larger_pos == len ? !(emb[r.smaller_pos] < cand)
+                                  : !(cand < emb[r.larger_pos])) {
+            ordered = false;
+            break;
+          }
+        }
+        if (!ordered) continue;
       }
       out->push_back({cand, static_cast<RowIndex>(row)});
     }
@@ -589,8 +616,8 @@ Result<ExtensionStats> VertexExtend(EmbeddingTable* table,
     return raw_candidates;
   };
 
-  auto result = RunExtension(table, accessor, options, spec.count_only, tasks,
-                             generate, g.max_degree());
+  auto result = RunExtension(table, accessor, options, level.count_only,
+                             tasks, generate, g.max_degree());
   if (result.ok()) {
     result.value().groups = group_stats.groups;
   }

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -10,6 +11,7 @@
 #include "core/adaptive_access.h"
 #include "core/embedding_table.h"
 #include "core/memory_pool.h"
+#include "core/symmetry.h"
 #include "graph/pattern.h"
 
 namespace gpm::core {
@@ -72,27 +74,40 @@ struct ExtensionStats {
   double kernel_cycles = 0;
 };
 
-/// Candidate specification for vertex extension (v-ET).
-struct VertexExtensionSpec {
-  /// Columns whose data vertices' adjacency lists are intersected to form
-  /// the candidate set. Empty => union of all columns' neighborhoods
-  /// (Definition 3.1's N_v(M)) instead of an intersection.
+/// One vertex-extension step (v-ET): what a compiled plan's level holds
+/// and what VertexExtend takes. The strategy fields override the engine's
+/// ExtensionOptions for this step only; unset inherits them, the
+/// bit-compatible preset mode.
+struct CompiledLevel {
+  /// Matched positions whose adjacency lists are intersected to form the
+  /// candidate set. Empty means the union of every column's neighborhood
+  /// (Definition 3.1's N_v(M), the motif census) instead.
   std::vector<int> intersect_positions;
   /// Candidate must carry this label (kAnyLabel = no constraint).
   graph::Label candidate_label = graph::Pattern::kAnyLabel;
-  /// Candidate id must exceed every matched vertex (clique orientation).
+  /// Folded full-chain symmetry restriction: candidate id must exceed
+  /// every matched vertex.
   bool require_ascending = false;
   /// Candidate must differ from every matched vertex.
   bool enforce_injective = true;
-  /// Count-only mode: the extension tallies surviving candidates but
-  /// materializes no new column (no pool traffic, no flush). The standard
-  /// final-level optimization for counting workloads — the paper's
+  /// Symmetry-breaking restrictions checked per candidate, which sits at
+  /// position table->length(); each pairs that position with a matched
+  /// one, the candidate on either side. Empty when folded into
+  /// require_ascending or when the plan does not break symmetry.
+  std::vector<SymmetryRestriction> restrictions;
+  /// Count-only final level: the extension tallies surviving candidates
+  /// but materializes no new column (no pool traffic, no flush). The
   /// embedding table is only needed when a further extension or
-  /// aggregation will read it.
+  /// aggregation reads it.
   bool count_only = false;
-  /// Optional extra predicate over (embedding, candidate); charged a
-  /// fixed compute cost per call.
-  std::function<bool(std::span<const Unit>, Unit)> post_filter;
+  /// Input-aware strategy choices; nullopt inherits the engine options.
+  std::optional<WriteStrategy> write_strategy;
+  std::optional<bool> pre_merge;
+  /// Estimated rows after this level (planner cardinality model).
+  double est_rows = 0;
+
+  /// `engine` with this level's strategy overrides applied.
+  ExtensionOptions Resolve(const ExtensionOptions& engine) const;
 };
 
 /// Candidate specification for edge extension (e-ET).
@@ -104,12 +119,14 @@ struct EdgeExtensionSpec {
   std::function<bool(std::span<const Unit>, Unit)> post_filter;
 };
 
-/// Extends every embedding of the v-ET by one vertex (Ext_v, Def. 3.1) and
-/// appends the new column. Fails with kDeviceOutOfMemory when the write
-/// strategy cannot reserve its device buffers.
+/// Extends every embedding of the v-ET by one vertex as `level` describes
+/// (Ext_v, Def. 3.1), under `options` with the level's overrides applied,
+/// and appends the new column unless the level is count-only. Fails with
+/// kDeviceOutOfMemory when the write strategy cannot reserve its device
+/// buffers.
 Result<ExtensionStats> VertexExtend(EmbeddingTable* table,
                                     GraphAccessor* accessor,
-                                    const VertexExtensionSpec& spec,
+                                    const CompiledLevel& level,
                                     const ExtensionOptions& options);
 
 /// Extends every embedding of the e-ET by one adjacent edge (Ext_e) and

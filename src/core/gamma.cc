@@ -45,9 +45,15 @@ GammaEngine::GammaEngine(gpusim::Device* device, const graph::Graph* graph,
 
 Status GammaEngine::Prepare() {
   GAMMA_CHECK(!prepared_) << "Prepare called twice";
-  gpusim::PhaseScope phase(device_, &device_->profile(), kPhasePrepare);
+  gpusim::PhaseScope phase(device_, kPhasePrepare);
   Status st = accessor_.Prepare();
   if (!st.ok()) return st;
+  if (options_.device_resident_tables) {
+    const std::size_t free_bytes = device_->memory().available_bytes();
+    options_.extension.pool_bytes =
+        std::min(options_.extension.pool_bytes,
+                 std::max<std::size_t>(64 << 10, free_bytes / 2));
+  }
   prepared_ = true;
   return Status::Ok();
 }
@@ -55,7 +61,7 @@ Status GammaEngine::Prepare() {
 Result<std::unique_ptr<EmbeddingTable>> GammaEngine::InitVertexTable(
     graph::Label label) {
   GAMMA_CHECK(prepared_) << "engine not prepared";
-  gpusim::PhaseScope phase(device_, &device_->profile(), kPhaseInitTable);
+  gpusim::PhaseScope phase(device_, kPhaseInitTable);
   auto table = std::make_unique<EmbeddingTable>(
       device_, TableKind::kVertex, options_.device_resident_tables);
   std::vector<Unit> units;
@@ -82,7 +88,7 @@ Result<std::unique_ptr<EmbeddingTable>> GammaEngine::InitVertexTable(
 
 Result<std::unique_ptr<EmbeddingTable>> GammaEngine::InitEdgeTable() {
   GAMMA_CHECK(prepared_) << "engine not prepared";
-  gpusim::PhaseScope phase(device_, &device_->profile(), kPhaseInitTable);
+  gpusim::PhaseScope phase(device_, kPhaseInitTable);
   if (graph_->edge_list().empty()) {
     return Status::FailedPrecondition(
         "edge table requires the graph's edge index (EnsureEdgeIndex)");
@@ -102,7 +108,7 @@ Result<std::unique_ptr<EmbeddingTable>> GammaEngine::InitEdgeTable() {
 Result<std::unique_ptr<EmbeddingTable>> GammaEngine::InitVertexPairTable(
     graph::Label first_label, graph::Label second_label, bool ascending) {
   GAMMA_CHECK(prepared_) << "engine not prepared";
-  gpusim::PhaseScope phase(device_, &device_->profile(), kPhaseInitTable);
+  gpusim::PhaseScope phase(device_, kPhaseInitTable);
   if (graph_->edge_list().empty()) {
     return Status::FailedPrecondition(
         "vertex pair table requires the graph's edge index "
@@ -151,32 +157,32 @@ Result<std::unique_ptr<EmbeddingTable>> GammaEngine::InitVertexPairTable(
 }
 
 Result<ExtensionStats> GammaEngine::VertexExtension(
-    EmbeddingTable* et, const VertexExtensionSpec& spec) {
+    EmbeddingTable* et, const CompiledLevel& level) {
   GAMMA_CHECK(prepared_) << "engine not prepared";
-  gpusim::PhaseScope phase(device_, &device_->profile(),
-                           kPhaseVertexExtension);
-  return VertexExtend(et, &accessor_, spec, options_.extension);
+  gpusim::PhaseScope phase(device_, kPhaseVertexExtension);
+  return VertexExtend(et, &accessor_, level, options_.extension);
 }
 
 Result<ExtensionStats> GammaEngine::EdgeExtension(
     EmbeddingTable* et, const EdgeExtensionSpec& spec) {
   GAMMA_CHECK(prepared_) << "engine not prepared";
-  gpusim::PhaseScope phase(device_, &device_->profile(), kPhaseEdgeExtension);
+  gpusim::PhaseScope phase(device_, kPhaseEdgeExtension);
   return EdgeExtend(et, &accessor_, spec, options_.extension);
 }
 
 Result<AggregationResult> GammaEngine::Aggregation(const EmbeddingTable& et,
-                                                   PatternTable* pt) {
+                                                   PatternTable* pt,
+                                                   bool use_labels) {
   GAMMA_CHECK(prepared_) << "engine not prepared";
-  gpusim::PhaseScope phase(device_, &device_->profile(), kPhaseAggregation);
-  return Aggregate(et, &accessor_, pt, options_.aggregation);
+  gpusim::PhaseScope phase(device_, kPhaseAggregation);
+  return Aggregate(et, &accessor_, pt, use_labels, options_.sort);
 }
 
 FilterStats GammaEngine::Filtering(
     EmbeddingTable* et,
     const std::function<bool(std::span<const Unit>)>& constraint) {
   GAMMA_CHECK(prepared_) << "engine not prepared";
-  gpusim::PhaseScope phase(device_, &device_->profile(), kPhaseFiltering);
+  gpusim::PhaseScope phase(device_, kPhaseFiltering);
   return FilterEmbeddings(et, constraint, options_.filter);
 }
 
@@ -184,7 +190,7 @@ FilterStats GammaEngine::Filtering(EmbeddingTable* et,
                                    const std::vector<uint64_t>& codes,
                                    const PatternTable& pt) {
   GAMMA_CHECK(prepared_) << "engine not prepared";
-  gpusim::PhaseScope phase(device_, &device_->profile(), kPhaseFiltering);
+  gpusim::PhaseScope phase(device_, kPhaseFiltering);
   return FilterByPattern(et, codes, pt, options_.filter);
 }
 

@@ -21,10 +21,16 @@ namespace gpm::core {
 struct GammaOptions {
   GraphAccessor::Options access;
   ExtensionOptions extension;
-  AggregationOptions aggregation;
+  /// Sorting backend for aggregation's canonical-code table; the pattern
+  /// table can exceed device memory, which is what Optimization 3
+  /// addresses.
+  SortOptions sort;
   FilterOptions filter;
   /// In-core mode: embedding tables live in device memory and runs fail
   /// with kDeviceOutOfMemory when they outgrow it (baseline behaviour).
+  /// With no host spill to fall back on, Prepare also caps the write pool
+  /// at half the device memory the staged graph leaves free (at least
+  /// 64 KiB).
   bool device_resident_tables = false;
   /// Attaches a core::AdaptivityAudit for the run: per-extension decision
   /// records plus counterfactual unified-only/zero-copy-only shadow
@@ -58,7 +64,8 @@ class GammaEngine {
   GammaEngine(const GammaEngine&) = delete;
   GammaEngine& operator=(const GammaEngine&) = delete;
 
-  /// Stages the graph on the platform. Must be called once before use.
+  /// Stages the graph on the platform (and fits the in-core write pool,
+  /// see device_resident_tables). Must be called once before use.
   Status Prepare();
 
   // -- Embedding-table construction -----------------------------------------
@@ -83,12 +90,16 @@ class GammaEngine {
 
   // -- Primitives (Fig. 3 interfaces) ---------------------------------------
 
+  /// One extension step under the engine's options with `level`'s
+  /// strategy overrides applied for this call only.
   Result<ExtensionStats> VertexExtension(EmbeddingTable* et,
-                                         const VertexExtensionSpec& spec);
+                                         const CompiledLevel& level);
   Result<ExtensionStats> EdgeExtension(EmbeddingTable* et,
                                        const EdgeExtensionSpec& spec);
+  /// Maps rows to labeled patterns when `use_labels` (FPM), to unlabeled
+  /// shapes otherwise (motif census).
   Result<AggregationResult> Aggregation(const EmbeddingTable& et,
-                                        PatternTable* pt);
+                                        PatternTable* pt, bool use_labels);
   FilterStats Filtering(EmbeddingTable* et,
                         const std::function<bool(std::span<const Unit>)>&
                             constraint);
@@ -107,7 +118,6 @@ class GammaEngine {
   const graph::Graph& graph() const { return *graph_; }
   GraphAccessor& accessor() { return accessor_; }
   const GammaOptions& options() const { return options_; }
-  GammaOptions& mutable_options() { return options_; }
 
   /// The run's adaptivity audit, or nullptr when GammaOptions did not
   /// enable one (or the placement has no host-memory traffic to audit).

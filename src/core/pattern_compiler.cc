@@ -5,6 +5,7 @@
 
 #include "common/json.h"
 #include "common/logging.h"
+#include "core/symmetry.h"
 #include "graph/isomorphism.h"
 
 namespace gpm::core {
@@ -15,8 +16,8 @@ using graph::Pattern;
 
 // Restrictions that constrain the vertex matched at depth `d` given the
 // already-matched prefix — exactly the per-level selection the legacy
-// symmetric matcher performed inline (same iteration order, so compiled
-// post-filters evaluate restrictions in the same sequence).
+// symmetric matcher performed inline (same iteration order, so vertex
+// extension checks restrictions in the same sequence).
 std::vector<SymmetryRestriction> ApplicableAt(
     const std::vector<SymmetryRestriction>& restrictions, int d) {
   std::vector<SymmetryRestriction> applicable;
@@ -28,8 +29,8 @@ std::vector<SymmetryRestriction> ApplicableAt(
 }
 
 // True when `applicable` is exactly the full ascending chain at depth d:
-// {(j, d) : j = 0..d-1}. Only then can the post-filter be folded into the
-// extension's require_ascending flag without changing semantics.
+// {(j, d) : j = 0..d-1}. Only then can the restriction check be folded into
+// the extension's require_ascending flag without changing semantics.
 bool IsFullAscendingChain(const std::vector<SymmetryRestriction>& applicable,
                           int d) {
   if (static_cast<int>(applicable.size()) != d) return false;

@@ -2,14 +2,12 @@
 #define GAMMA_CORE_PATTERN_COMPILER_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/extension.h"
 #include "core/plan.h"
-#include "core/symmetry.h"
 #include "graph/csr.h"
 #include "graph/pattern.h"
 
@@ -39,34 +37,6 @@ const char* StartModeName(StartMode mode);
 /// dynamically. Serialized into gamma.plan.v1 rationale objects so plan
 /// documents stay auditable if the cutover moves.
 inline constexpr double kPreAllocRowsThreshold = 1e5;
-
-/// One vertex-extension step of a compiled plan. Everything the engine
-/// needs to build the VertexExtensionSpec, plus optional per-level
-/// strategy overrides (unset = inherit the engine's ExtensionOptions, the
-/// bit-compatible preset mode).
-struct CompiledLevel {
-  /// Matched positions whose adjacency lists are intersected; empty means
-  /// union-neighborhood extension (motif census).
-  std::vector<int> intersect_positions;
-  graph::Label candidate_label = graph::Pattern::kAnyLabel;
-  /// Folded full-chain symmetry restriction: candidate id must exceed
-  /// every matched vertex.
-  bool require_ascending = false;
-  bool enforce_injective = true;
-  /// Symmetry-breaking restrictions applied as a post-filter at this
-  /// level (both directions: the candidate may be the smaller or the
-  /// larger side). Empty when folded into require_ascending or when the
-  /// plan does not break symmetry.
-  std::vector<SymmetryRestriction> restrictions;
-  /// Count-only final level: tally results without materializing the
-  /// column.
-  bool count_only = false;
-  /// Input-aware strategy choices; nullopt inherits the engine options.
-  std::optional<WriteStrategy> write_strategy;
-  std::optional<bool> pre_merge;
-  /// Estimated rows after this level (planner cardinality model).
-  double est_rows = 0;
-};
 
 /// Compact per-run plan descriptor embedded in gamma.bench.v1 documents.
 struct PlanSummary {

@@ -16,17 +16,6 @@ void PatternTable::Accumulate(uint64_t code, const graph::Pattern& exemplar,
   }
 }
 
-void PatternTable::SetSupport(uint64_t code, const graph::Pattern& exemplar,
-                              uint64_t support) {
-  auto it = index_.find(code);
-  if (it == index_.end()) {
-    index_.emplace(code, entries_.size());
-    entries_.push_back({code, exemplar, support, true});
-  } else {
-    entries_[it->second].support = support;
-  }
-}
-
 const PatternEntry* PatternTable::Find(uint64_t code) const {
   auto it = index_.find(code);
   return it == index_.end() ? nullptr : &entries_[it->second];

@@ -34,11 +34,6 @@ class PatternTable {
   void Accumulate(uint64_t code, const graph::Pattern& exemplar,
                   uint64_t count);
 
-  /// Overwrites `code`'s support (used by MNI-style measures that are not
-  /// additive across batches).
-  void SetSupport(uint64_t code, const graph::Pattern& exemplar,
-                  uint64_t support);
-
   const PatternEntry* Find(uint64_t code) const;
 
   /// Marks entries with support < `min_support` invalid; returns how many

@@ -93,9 +93,8 @@ std::string RunProfile::ToJson(const Device& device) const {
   return os.str();
 }
 
-PhaseScope::PhaseScope(Device* device, RunProfile* profile, std::string name)
+PhaseScope::PhaseScope(Device* device, std::string name)
     : device_(device),
-      profile_(profile),
       name_(std::move(name)),
       start_cycles_(device->now_cycles()),
       start_stats_(device->stats().Snapshot()) {
@@ -109,15 +108,12 @@ PhaseScope::PhaseScope(Device* device, RunProfile* profile, std::string name)
 PhaseScope::~PhaseScope() {
   device_->EndPhaseMark();
   if (Sanitizer* san = device_->sanitizer()) san->PopPhase();
-  // The timeline recorder gets the phase span even when no RunProfile is
-  // attached — the two consumers are independent.
   if (device_->trace().enabled()) {
     device_->trace().RecordSpan(TraceRecorder::Kind::kPhase, name_,
                                 start_cycles_, device_->now_cycles());
   }
-  if (profile_ == nullptr) return;
-  profile_->Record(name_, device_->now_cycles() - start_cycles_,
-                   device_->stats().Diff(start_stats_));
+  device_->profile().Record(name_, device_->now_cycles() - start_cycles_,
+                            device_->stats().Diff(start_stats_));
 }
 
 }  // namespace gpm::gpusim

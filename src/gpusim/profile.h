@@ -54,12 +54,13 @@ class RunProfile {
 };
 
 /// RAII phase marker: snapshots the device clock and counters at
-/// construction and attributes the difference to `name` in `profile` at
-/// destruction. A null profile skips the RunProfile record; the device's
-/// timeline recorder, when enabled, still gets the phase span either way.
+/// construction and attributes the difference to `name` in the device's
+/// RunProfile at destruction. It also brackets the phase for the
+/// sanitizer and the command log, and gives the timeline recorder, when
+/// enabled, the phase span.
 class PhaseScope {
  public:
-  PhaseScope(Device* device, RunProfile* profile, std::string name);
+  PhaseScope(Device* device, std::string name);
   ~PhaseScope();
 
   PhaseScope(const PhaseScope&) = delete;
@@ -67,7 +68,6 @@ class PhaseScope {
 
  private:
   Device* device_;
-  RunProfile* profile_;
   std::string name_;
   double start_cycles_ = 0;
   DeviceStats start_stats_;

@@ -240,9 +240,9 @@ TEST(EngineProfileTest, PhasesAttributeTrafficAndExportJson) {
   ASSERT_TRUE(engine.Prepare().ok());
   auto t = engine.InitVertexTable();
   ASSERT_TRUE(t.ok());
-  VertexExtensionSpec spec;
-  spec.intersect_positions = {0};
-  ASSERT_TRUE(engine.VertexExtension(t.value().get(), spec).ok());
+  CompiledLevel level;
+  level.intersect_positions = {0};
+  ASSERT_TRUE(engine.VertexExtension(t.value().get(), level).ok());
 
   const gpusim::RunProfile& profile = engine.profile();
   const gpusim::PhaseRecord* prep = profile.Find("prepare");

@@ -35,7 +35,7 @@ TEST(AggregationTest, SingleEdgePatternsByLabelPair) {
   auto t = engine.InitEdgeTable();
   ASSERT_TRUE(t.ok());
   PatternTable pt;
-  auto r = engine.Aggregation(*t.value(), &pt);
+  auto r = engine.Aggregation(*t.value(), &pt, /*use_labels=*/true);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value().codes.size(), 6u);
   // Label pairs over edges: (0,1)x2 [0-1,3-4], (0,2)x2 [0-2,3-2], (1,2)x1
@@ -51,16 +51,14 @@ TEST(AggregationTest, SingleEdgePatternsByLabelPair) {
 TEST(AggregationTest, UnlabeledWedgesAndTriangles) {
   graph::Graph g = Toy();
   gpusim::Device device(TestParams());
-  GammaOptions options;
-  options.aggregation.use_labels = false;
-  GammaEngine engine(&device, &g, options);
+  GammaEngine engine(&device, &g, {});
   ASSERT_TRUE(engine.Prepare().ok());
   auto t = engine.InitEdgeTable();
   ASSERT_TRUE(t.ok());
   EdgeExtensionSpec spec;
   ASSERT_TRUE(engine.EdgeExtension(t.value().get(), spec).ok());
   PatternTable pt;
-  auto r = engine.Aggregation(*t.value(), &pt);
+  auto r = engine.Aggregation(*t.value(), &pt, /*use_labels=*/false);
   ASSERT_TRUE(r.ok());
   // 2-edge connected sets are all wedges (path of 3 vertices).
   ASSERT_EQ(pt.size(), 1u);
@@ -82,7 +80,7 @@ TEST(AggregationTest, CodesAlignWithRows) {
   auto t = engine.InitEdgeTable();
   ASSERT_TRUE(t.ok());
   PatternTable pt;
-  auto r = engine.Aggregation(*t.value(), &pt);
+  auto r = engine.Aggregation(*t.value(), &pt, /*use_labels=*/true);
   ASSERT_TRUE(r.ok());
   graph::CanonicalCache cache;
   for (std::size_t row = 0; row < t.value()->num_embeddings(); ++row) {
@@ -116,7 +114,7 @@ TEST(AggregationTest, ExemplarIsFirstRowWithCode) {
     const EmbeddingTable& table = *t.value();
     ASSERT_GT(table.num_embeddings(), 4 * 256u);
     PatternTable pt;
-    auto r = engine.Aggregation(table, &pt);
+    auto r = engine.Aggregation(table, &pt, /*use_labels=*/true);
     ASSERT_TRUE(r.ok());
     const std::vector<uint64_t>& codes = r.value().codes;
     std::vector<graph::Pattern> patterns;
@@ -151,41 +149,13 @@ TEST(AggregationTest, AccumulatesAcrossCalls) {
   auto t = engine.InitEdgeTable();
   ASSERT_TRUE(t.ok());
   PatternTable pt;
-  ASSERT_TRUE(engine.Aggregation(*t.value(), &pt).ok());
+  ASSERT_TRUE(engine.Aggregation(*t.value(), &pt, /*use_labels=*/true).ok());
   uint64_t first = 0;
   for (const auto& e : pt.entries()) first += e.support;
-  ASSERT_TRUE(engine.Aggregation(*t.value(), &pt).ok());
+  ASSERT_TRUE(engine.Aggregation(*t.value(), &pt, /*use_labels=*/true).ok());
   uint64_t second = 0;
   for (const auto& e : pt.entries()) second += e.support;
   EXPECT_EQ(second, 2 * first);
-}
-
-TEST(AggregationTest, MniSupportLeqInstanceCount) {
-  graph::Graph g = Toy();
-  gpusim::Device device(TestParams());
-  GammaOptions mni_options;
-  mni_options.aggregation.support = SupportMeasure::kMni;
-  GammaEngine engine(&device, &g, mni_options);
-  ASSERT_TRUE(engine.Prepare().ok());
-  auto t = engine.InitEdgeTable();
-  ASSERT_TRUE(t.ok());
-  PatternTable mni_pt;
-  ASSERT_TRUE(engine.Aggregation(*t.value(), &mni_pt).ok());
-
-  gpusim::Device device2(TestParams());
-  GammaEngine engine2(&device2, &g, {});
-  ASSERT_TRUE(engine2.Prepare().ok());
-  auto t2 = engine2.InitEdgeTable();
-  ASSERT_TRUE(t2.ok());
-  PatternTable cnt_pt;
-  ASSERT_TRUE(engine2.Aggregation(*t2.value(), &cnt_pt).ok());
-
-  for (const auto& e : mni_pt.entries()) {
-    const PatternEntry* other = cnt_pt.Find(e.code);
-    ASSERT_NE(other, nullptr);
-    EXPECT_LE(e.support, other->support);
-    EXPECT_GT(e.support, 0u);
-  }
 }
 
 TEST(PatternTableTest, InvalidateAndErase) {
@@ -210,13 +180,6 @@ TEST(PatternTableTest, TopPatternsSorted) {
   ASSERT_EQ(top.size(), 3u);
   EXPECT_EQ(top[0].support, 9u);
   EXPECT_EQ(top[2].support, 2u);
-}
-
-TEST(PatternTableTest, SetSupportOverwrites) {
-  PatternTable pt;
-  pt.SetSupport(1, graph::Pattern::Triangle(), 5);
-  pt.SetSupport(1, graph::Pattern::Triangle(), 3);
-  EXPECT_EQ(pt.Find(1)->support, 3u);
 }
 
 }  // namespace

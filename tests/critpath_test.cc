@@ -227,7 +227,7 @@ CritpathReport EngineReport(std::size_t streams, gpusim::Device* device) {
   core::GammaOptions options;
   if (streams > 1) {
     options.extension.num_streams = streams;
-    options.aggregation.sort.num_streams = streams;
+    options.sort.num_streams = streams;
   }
   core::GammaEngine engine(device, &g, options);
   EXPECT_TRUE(engine.Prepare().ok());

@@ -41,10 +41,10 @@ std::multiset<std::vector<Unit>> ExtendAllVertices(
   auto t = engine.InitVertexTable();
   EXPECT_TRUE(t.ok());
   for (int s = 0; s < steps; ++s) {
-    VertexExtensionSpec spec;
-    for (int j = 0; j <= s; ++j) spec.intersect_positions.push_back(j);
-    spec.require_ascending = ascending;
-    auto r = engine.VertexExtension(t.value().get(), spec);
+    CompiledLevel level;
+    for (int j = 0; j <= s; ++j) level.intersect_positions.push_back(j);
+    level.require_ascending = ascending;
+    auto r = engine.VertexExtension(t.value().get(), level);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
   }
   std::multiset<std::vector<Unit>> out;
@@ -85,9 +85,9 @@ TEST(VertexExtensionTest, InjectivityEnforced) {
   ASSERT_TRUE(engine.Prepare().ok());
   auto t = engine.InitVertexTable();
   ASSERT_TRUE(t.ok());
-  VertexExtensionSpec spec;  // union mode: all neighbors
-  ASSERT_TRUE(engine.VertexExtension(t.value().get(), spec).ok());
-  ASSERT_TRUE(engine.VertexExtension(t.value().get(), spec).ok());
+  CompiledLevel level;  // union mode: all neighbors
+  ASSERT_TRUE(engine.VertexExtension(t.value().get(), level).ok());
+  ASSERT_TRUE(engine.VertexExtension(t.value().get(), level).ok());
   for (const auto& emb : t.value()->Materialize()) {
     std::set<Unit> uniq(emb.begin(), emb.end());
     EXPECT_EQ(uniq.size(), emb.size());
@@ -102,8 +102,8 @@ TEST(VertexExtensionTest, UnionModeMatchesDefinition31) {
   ASSERT_TRUE(engine.Prepare().ok());
   auto t = engine.InitVertexTable();
   ASSERT_TRUE(t.ok());
-  VertexExtensionSpec spec;
-  ASSERT_TRUE(engine.VertexExtension(t.value().get(), spec).ok());
+  CompiledLevel level;
+  ASSERT_TRUE(engine.VertexExtension(t.value().get(), level).ok());
   std::multiset<std::vector<Unit>> got;
   for (auto& e : t.value()->Materialize()) got.insert(e);
   std::multiset<std::vector<Unit>> expected;
@@ -122,30 +122,41 @@ TEST(VertexExtensionTest, LabelFilterApplied) {
   ASSERT_TRUE(engine.Prepare().ok());
   auto t = engine.InitVertexTable();
   ASSERT_TRUE(t.ok());
-  VertexExtensionSpec spec;
-  spec.intersect_positions = {0};
-  spec.candidate_label = 1;  // vertices 1 and 4
-  ASSERT_TRUE(engine.VertexExtension(t.value().get(), spec).ok());
+  CompiledLevel level;
+  level.intersect_positions = {0};
+  level.candidate_label = 1;  // vertices 1 and 4
+  ASSERT_TRUE(engine.VertexExtension(t.value().get(), level).ok());
   for (const auto& emb : t.value()->Materialize()) {
     EXPECT_EQ(g.label(emb[1]), 1u);
   }
 }
 
-TEST(VertexExtensionTest, PostFilterApplied) {
+// A restriction checks the candidate (position 1 here) against a matched
+// column from either side: {0, 1} keeps each edge once as an ascending pair,
+// {1, 0} once as a descending one.
+TEST(VertexExtensionTest, RestrictionsApplied) {
   graph::Graph g = Toy();
-  gpusim::Device device(TestParams());
-  GammaEngine engine(&device, &g, {});
-  ASSERT_TRUE(engine.Prepare().ok());
-  auto t = engine.InitVertexTable();
-  ASSERT_TRUE(t.ok());
-  VertexExtensionSpec spec;
-  spec.intersect_positions = {0};
-  spec.post_filter = [](std::span<const Unit>, Unit cand) {
-    return cand % 2 == 0;
-  };
-  ASSERT_TRUE(engine.VertexExtension(t.value().get(), spec).ok());
-  for (const auto& emb : t.value()->Materialize()) {
-    EXPECT_EQ(emb[1] % 2, 0u);
+  for (bool ascending : {true, false}) {
+    gpusim::Device device(TestParams());
+    GammaEngine engine(&device, &g, {});
+    ASSERT_TRUE(engine.Prepare().ok());
+    auto t = engine.InitVertexTable();
+    ASSERT_TRUE(t.ok());
+    CompiledLevel level;
+    level.intersect_positions = {0};
+    level.restrictions = {ascending ? SymmetryRestriction{0, 1}
+                                    : SymmetryRestriction{1, 0}};
+    ASSERT_TRUE(engine.VertexExtension(t.value().get(), level).ok());
+    std::multiset<std::vector<Unit>> got;
+    for (auto& e : t.value()->Materialize()) got.insert(e);
+    std::multiset<std::vector<Unit>> expected;
+    for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
+      for (graph::VertexId u : g.neighbors(v)) {
+        if (ascending ? v < u : u < v) expected.insert({v, u});
+      }
+    }
+    EXPECT_EQ(expected.size(), g.num_edges());
+    EXPECT_EQ(got, expected) << "ascending=" << ascending;
   }
 }
 
@@ -160,9 +171,9 @@ TEST(VertexExtensionTest, PreAllocFailsWhenWorstCaseTooLarge) {
   ASSERT_TRUE(engine.Prepare().ok());
   auto t = engine.InitVertexTable();
   ASSERT_TRUE(t.ok());
-  VertexExtensionSpec spec;
-  spec.intersect_positions = {0};
-  auto r = engine.VertexExtension(t.value().get(), spec);
+  CompiledLevel level;
+  level.intersect_positions = {0};
+  auto r = engine.VertexExtension(t.value().get(), level);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), ErrorCode::kDeviceOutOfMemory);
 }
@@ -178,8 +189,8 @@ TEST(VertexExtensionTest, DynamicAllocHandlesPoolOverflow) {
   ASSERT_TRUE(engine.Prepare().ok());
   auto t = engine.InitVertexTable();
   ASSERT_TRUE(t.ok());
-  VertexExtensionSpec spec;  // union: ~2|E| results >> pool
-  auto r = engine.VertexExtension(t.value().get(), spec);
+  CompiledLevel level;  // union: ~2|E| results >> pool
+  auto r = engine.VertexExtension(t.value().get(), level);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r.value().results, 2 * g.num_edges());
   EXPECT_GT(device.stats().pool_block_requests, 16u);
@@ -192,9 +203,9 @@ TEST(VertexExtensionTest, StatsPopulated) {
   ASSERT_TRUE(engine.Prepare().ok());
   auto t = engine.InitVertexTable();
   ASSERT_TRUE(t.ok());
-  VertexExtensionSpec spec;
-  spec.intersect_positions = {0};
-  auto r = engine.VertexExtension(t.value().get(), spec);
+  CompiledLevel level;
+  level.intersect_positions = {0};
+  auto r = engine.VertexExtension(t.value().get(), level);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value().input_rows, 5u);
   EXPECT_GT(r.value().candidates, 0u);
@@ -396,10 +407,10 @@ TEST(ExtensionTest, ChunkingPreservesResults) {
     ASSERT_TRUE(engine.Prepare().ok());
     auto t = engine.InitVertexTable();
     ASSERT_TRUE(t.ok());
-    VertexExtensionSpec spec;
-    spec.intersect_positions = {0};
-    spec.require_ascending = true;
-    ASSERT_TRUE(engine.VertexExtension(t.value().get(), spec).ok());
+    CompiledLevel level;
+    level.intersect_positions = {0};
+    level.require_ascending = true;
+    ASSERT_TRUE(engine.VertexExtension(t.value().get(), level).ok());
     auto& sink = chunk == 64 ? small_chunks : big_chunks;
     for (auto& e : t.value()->Materialize()) sink.insert(e);
   }

@@ -25,8 +25,8 @@ graph::Graph Toy() {
 std::unique_ptr<EmbeddingTable> PairsTable(core::GammaEngine* engine) {
   auto t = engine->InitVertexTable();
   EXPECT_TRUE(t.ok());
-  VertexExtensionSpec spec;  // union: all (v, neighbor) pairs
-  EXPECT_TRUE(engine->VertexExtension(t.value().get(), spec).ok());
+  CompiledLevel level;  // union: all (v, neighbor) pairs
+  EXPECT_TRUE(engine->VertexExtension(t.value().get(), level).ok());
   return std::move(t).value();
 }
 
@@ -96,7 +96,7 @@ TEST(FilteringTest, PatternFilterDropsInvalidInstances) {
   auto t = engine.InitEdgeTable();
   ASSERT_TRUE(t.ok());
   PatternTable pt;
-  auto agg = engine.Aggregation(*t.value(), &pt);
+  auto agg = engine.Aggregation(*t.value(), &pt, /*use_labels=*/true);
   ASSERT_TRUE(agg.ok());
   // Label pairs: (0,1)x3, (0,2)x2, (1,2)x1 — threshold 2 kills one.
   pt.InvalidateBelow(2);
@@ -114,7 +114,7 @@ TEST(FilteringTest, PatternFilterNoInvalidIsNoOp) {
   auto t = engine.InitEdgeTable();
   ASSERT_TRUE(t.ok());
   PatternTable pt;
-  auto agg = engine.Aggregation(*t.value(), &pt);
+  auto agg = engine.Aggregation(*t.value(), &pt, /*use_labels=*/true);
   ASSERT_TRUE(agg.ok());
   pt.InvalidateBelow(1);  // nothing below 1
   FilterStats stats = engine.Filtering(t.value().get(),
@@ -144,10 +144,10 @@ TEST(FilteringTest, AncestorPruningShrinksEarlierColumns) {
   ASSERT_TRUE(engine.Prepare().ok());
   auto t = engine.InitVertexTable();
   ASSERT_TRUE(t.ok());
-  VertexExtensionSpec spec;
-  spec.intersect_positions = {0};
-  spec.require_ascending = true;
-  ASSERT_TRUE(engine.VertexExtension(t.value().get(), spec).ok());
+  CompiledLevel level;
+  level.intersect_positions = {0};
+  level.require_ascending = true;
+  ASSERT_TRUE(engine.VertexExtension(t.value().get(), level).ok());
   std::size_t col0_before = t.value()->column(0).size();
   // Kill everything extending from vertices < 20: their roots go too.
   engine.Filtering(t.value().get(), [](std::span<const Unit> emb) {

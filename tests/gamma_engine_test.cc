@@ -2,6 +2,9 @@
 // rendering, and end-to-end determinism of the façade.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "baselines/presets.h"
 #include "core/compiled_engine.h"
 #include "core/gamma.h"
 #include "core/pattern_compiler.h"
@@ -110,22 +113,75 @@ TEST(GammaEngineTest, DeterministicAcrossIdenticalRuns) {
   EXPECT_DOUBLE_EQ(times[0], times[1]);
 }
 
-TEST(GammaEngineTest, MutableOptionsAffectSubsequentCalls) {
+// A level's strategy overrides hold for its own call only: the engine's
+// options never change, and the next inherit-mode level uses them again.
+TEST(GammaEngineTest, LevelOverridesEngineStrategy) {
   graph::Graph g = Labeled(7);
   gpusim::Device device(TestParams());
   GammaEngine engine(&device, &g, {});
   ASSERT_TRUE(engine.Prepare().ok());
-  engine.mutable_options().extension.pre_merge = false;
+  const ExtensionOptions engine_options = engine.options().extension;
+  ASSERT_EQ(engine_options.write_strategy, WriteStrategy::kDynamicAlloc);
+  ASSERT_TRUE(engine_options.pre_merge);
   auto t = engine.InitVertexTable();
   ASSERT_TRUE(t.ok());
-  VertexExtensionSpec spec;
-  spec.intersect_positions = {0};
-  ASSERT_TRUE(engine.VertexExtension(t.value().get(), spec).ok());
-  VertexExtensionSpec spec2;
-  spec2.intersect_positions = {0, 1};
-  auto r = engine.VertexExtension(t.value().get(), spec2);
+
+  // Two-pass writes at exact offsets and takes no pool block.
+  CompiledLevel two_pass;
+  two_pass.intersect_positions = {0};
+  two_pass.write_strategy = WriteStrategy::kNaiveTwoPass;
+  ASSERT_TRUE(engine.VertexExtension(t.value().get(), two_pass).ok());
+  EXPECT_EQ(device.stats().pool_block_requests, 0u);
+
+  CompiledLevel ungrouped;
+  ungrouped.intersect_positions = {0, 1};
+  ungrouped.pre_merge = false;
+  auto r = engine.VertexExtension(t.value().get(), ungrouped);
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value().groups, 0u);  // grouping disabled
+  EXPECT_EQ(r.value().groups, 0u);
+  ASSERT_GT(r.value().results, 0u);
+  EXPECT_GT(device.stats().pool_block_requests, 0u);  // dynamic again
+
+  CompiledLevel inherit;
+  inherit.intersect_positions = {0, 1, 2};
+  r = engine.VertexExtension(t.value().get(), inherit);
+  ASSERT_TRUE(r.ok());
+  EXPECT_GT(r.value().groups, 0u);  // grouped again
+
+  EXPECT_EQ(engine.options().extension.write_strategy,
+            engine_options.write_strategy);
+  EXPECT_EQ(engine.options().extension.pre_merge, engine_options.pre_merge);
+}
+
+// In-core presets have no host spill, so Prepare caps their write pool at
+// half the device memory the staged graph leaves free, and at least
+// 64 KiB; host-resident options keep the pool they asked for.
+TEST(GammaEngineTest, InCorePoolFitsFreeMemory) {
+  graph::Graph g = Labeled(10);
+  for (std::size_t device_bytes : {4u << 20, 96u << 10}) {
+    for (const GammaOptions& preset :
+         {baselines::PangolinGpuOptions(), baselines::GsiOptions()}) {
+      gpusim::SimParams params = TestParams();
+      params.device_memory_bytes = device_bytes;
+      params.um_device_buffer_bytes = 32 << 10;  // carved from device memory
+      gpusim::Device device(params);
+      GammaEngine engine(&device, &g, preset);
+      ASSERT_TRUE(engine.Prepare().ok());
+      const std::size_t free_bytes = device.memory().available_bytes();
+      const std::size_t fitted =
+          std::min(preset.extension.pool_bytes,
+                   std::max<std::size_t>(64 << 10, free_bytes / 2));
+      EXPECT_LT(fitted, preset.extension.pool_bytes);  // the fit binds
+      EXPECT_EQ(engine.options().extension.pool_bytes, fitted)
+          << device_bytes << " device bytes";
+    }
+  }
+  gpusim::Device device(TestParams());
+  const GammaOptions hybrid = baselines::GammaDefaultOptions();
+  GammaEngine engine(&device, &g, hybrid);
+  ASSERT_TRUE(engine.Prepare().ok());
+  EXPECT_EQ(engine.options().extension.pool_bytes,
+            hybrid.extension.pool_bytes);
 }
 
 TEST(GammaEngineTest, HostFootprintTracksTables) {
@@ -152,9 +208,9 @@ TEST(GammaEngineTest, SimulatedClockAdvancesMonotonically) {
   ASSERT_TRUE(t.ok());
   double t1 = device.now_cycles();
   EXPECT_GT(t1, t0);
-  VertexExtensionSpec spec;
-  spec.intersect_positions = {0};
-  ASSERT_TRUE(engine.VertexExtension(t.value().get(), spec).ok());
+  CompiledLevel level;
+  level.intersect_positions = {0};
+  ASSERT_TRUE(engine.VertexExtension(t.value().get(), level).ok());
   EXPECT_GT(device.now_cycles(), t1);
 }
 

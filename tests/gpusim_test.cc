@@ -389,13 +389,13 @@ TEST(StatsTest, JsonListsEveryCounter) {
 TEST(ProfileTest, PhaseScopeAttributesDeltasByName) {
   Device device(SmallParams());
   for (int i = 0; i < 2; ++i) {
-    PhaseScope scope(&device, &device.profile(), "zc-phase");
+    PhaseScope scope(&device, "zc-phase");
     device.LaunchKernel(1, [](WarpCtx& w, std::size_t) {
       w.ZeroCopyRead(300);  // 3 x 128B transactions
     });
   }
   {
-    PhaseScope scope(&device, &device.profile(), "idle-phase");
+    PhaseScope scope(&device, "idle-phase");
   }
   const PhaseRecord* zc = device.profile().Find("zc-phase");
   ASSERT_NE(zc, nullptr);
@@ -410,22 +410,11 @@ TEST(ProfileTest, PhaseScopeAttributesDeltasByName) {
   EXPECT_EQ(device.profile().Find("never-ran"), nullptr);
 }
 
-TEST(ProfileTest, NullProfileScopeIsNoOp) {
-  Device device(SmallParams());
-  {
-    PhaseScope scope(&device, nullptr, "ignored");
-    device.LaunchKernel(1, [](WarpCtx& w, std::size_t) {
-      w.ChargeCompute(10);
-    });
-  }
-  EXPECT_TRUE(device.profile().phases().empty());
-}
-
 TEST(ProfileTest, ToJsonCarriesTotalsPhasesAndTrace) {
   Device device(SmallParams());
   device.critpath().set_enabled(true);
   {
-    PhaseScope scope(&device, &device.profile(), "alpha");
+    PhaseScope scope(&device, "alpha");
     device.LaunchKernel(2, [](WarpCtx& w, std::size_t) {
       w.ZeroCopyRead(128);
     }, "alpha-kernel");

@@ -298,7 +298,7 @@ TEST(SanitizerReportTest, PhaseScopeAttribution) {
   auto id = device.memory().Allocate(64);
   ASSERT_TRUE(id.ok());
   {
-    PhaseScope phase(&device, &device.profile(), "suspicious-phase");
+    PhaseScope phase(&device, "suspicious-phase");
     device.LaunchKernel(
         1,
         [&](WarpCtx& w, std::size_t) { w.DeviceRead(id.value(), 64, 8); },
@@ -451,9 +451,9 @@ TEST(SanitizerPipelineTest, DoubleBufferedPipelineClean) {
   ASSERT_TRUE(engine.Prepare().ok());
   auto t = engine.InitVertexTable();
   ASSERT_TRUE(t.ok());
-  VertexExtensionSpec spec;
-  ASSERT_TRUE(engine.VertexExtension(t.value().get(), spec).ok());
-  ASSERT_TRUE(engine.VertexExtension(t.value().get(), spec).ok());
+  CompiledLevel level;
+  ASSERT_TRUE(engine.VertexExtension(t.value().get(), level).ok());
+  ASSERT_TRUE(engine.VertexExtension(t.value().get(), level).ok());
   EXPECT_TRUE(device.sanitizer()->findings().empty())
       << device.sanitizer()->ReportText();
 }
@@ -476,8 +476,8 @@ TEST(SanitizerPipelineTest, SkippedBufferGuardRaces) {
   ASSERT_TRUE(engine.Prepare().ok());
   auto t = engine.InitVertexTable();
   ASSERT_TRUE(t.ok());
-  VertexExtensionSpec spec;
-  ASSERT_TRUE(engine.VertexExtension(t.value().get(), spec).ok());
+  CompiledLevel level;
+  ASSERT_TRUE(engine.VertexExtension(t.value().get(), level).ok());
 
   gpusim::Sanitizer* san = device.sanitizer();
   ASSERT_FALSE(san->findings().empty());

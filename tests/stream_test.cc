@@ -262,7 +262,7 @@ TEST(StreamTest, DoubleBufferedExtensionMatchesSyncAndIsNoSlower) {
     options.extension.pool_bytes = 2ull << 20;  // fits the 4 MiB device
     options.extension.chunk_rows = 1024;
     options.extension.num_streams = streams;
-    options.aggregation.sort.num_streams = streams;
+    options.sort.num_streams = streams;
     return options;
   };
 

@@ -110,14 +110,14 @@ TEST(SymmetricMatchTest, RestrictedRowsAreSortedRepresentatives) {
   ASSERT_TRUE(table.ok());
   // Emulate symmetric extension: ascending clique enumeration must yield
   // the same set of rows the symmetric plan counted.
-  VertexExtensionSpec spec;
-  spec.intersect_positions = {0};
-  spec.require_ascending = true;
-  ASSERT_TRUE(engine2.VertexExtension(table.value().get(), spec).ok());
-  VertexExtensionSpec spec2;
-  spec2.intersect_positions = {0, 1};
-  spec2.require_ascending = true;
-  ASSERT_TRUE(engine2.VertexExtension(table.value().get(), spec2).ok());
+  CompiledLevel level;
+  level.intersect_positions = {0};
+  level.require_ascending = true;
+  ASSERT_TRUE(engine2.VertexExtension(table.value().get(), level).ok());
+  CompiledLevel level2;
+  level2.intersect_positions = {0, 1};
+  level2.require_ascending = true;
+  ASSERT_TRUE(engine2.VertexExtension(table.value().get(), level2).ok());
   EXPECT_EQ(sym.value().instances, table.value()->num_embeddings());
 }
 
