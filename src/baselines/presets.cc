@@ -7,7 +7,6 @@ core::GammaOptions GammaDefaultOptions() {
   options.access.placement = core::GraphPlacement::kHybridAdaptive;
   options.extension.write_strategy = core::WriteStrategy::kDynamicAlloc;
   options.extension.pre_merge = true;
-  options.filter.compress = true;
   options.sort.method = core::SortMethod::kGammaMultiMerge;
   options.device_resident_tables = false;
   return options;
@@ -18,7 +17,6 @@ core::GammaOptions PangolinGpuOptions() {
   options.access.placement = core::GraphPlacement::kDeviceResident;
   options.extension.write_strategy = core::WriteStrategy::kNaiveTwoPass;
   options.extension.pre_merge = false;
-  options.filter.compress = false;
   options.sort.method = core::SortMethod::kGammaMultiMerge;
   options.sort.in_core_only = true;
   options.device_resident_tables = true;
@@ -30,7 +28,6 @@ core::GammaOptions GsiOptions() {
   options.access.placement = core::GraphPlacement::kDeviceResident;
   options.extension.write_strategy = core::WriteStrategy::kPreAlloc;
   options.extension.pre_merge = false;
-  options.filter.compress = false;
   options.sort.in_core_only = true;
   options.device_resident_tables = true;
   return options;

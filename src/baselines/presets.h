@@ -6,13 +6,13 @@
 namespace gpm::baselines {
 
 /// GAMMA as evaluated in the paper: out-of-core, self-adaptive hybrid
-/// access, dynamic allocation, pre-merge grouping, table compression,
-/// multi-merge aggregation sort.
+/// access, dynamic allocation, pre-merge grouping, multi-merge aggregation
+/// sort. Every preset compacts the table after filtering.
 core::GammaOptions GammaDefaultOptions();
 
 /// Pangolin's GPU design point: everything in-core (graph + embedding
-/// tables in device memory), count-then-write extension, no grouping, no
-/// table compression, in-core-only aggregation sort.
+/// tables in device memory), count-then-write extension, no grouping,
+/// in-core-only aggregation sort.
 core::GammaOptions PangolinGpuOptions();
 
 /// GSI's design point: in-core with worst-case preallocation

@@ -113,7 +113,6 @@ void GraphAccessor::PlanExtension(
       (void)times;  // explicit staging copies each list once
       gather_bytes += graph_->adjacency_bytes(v);
     }
-    staged_bytes_ = gather_bytes;
     // ~1 cycle per gathered byte of host-side extraction + reorganization.
     device_->ChargeHostWork(static_cast<double>(gather_bytes));
     device_->CopyHostToDevice(gather_bytes);
@@ -203,20 +202,8 @@ void GraphAccessor::ChargeSpan(gpusim::WarpCtx& warp, std::size_t offset,
     warp.DeviceRead(device_csr_.id(), offset, bytes);
     return;
   }
-  // Graph spans are replayed into the counterfactual shadow models here,
-  // where the offsets are known (the zero-copy warp path cannot recover
-  // them); the graph-span bracket stops the observer taps from replaying
-  // the real charges a second time while still accumulating their actual
-  // cycles. Both the shadow replay and the bracket mutate audit state, so
-  // they ride WarpCtx::Defer: immediate on a serial context, recorded
-  // in-line with the charges (and hence correctly ordered around them at
-  // replay) on a recording one.
-  if (audit_ != nullptr) {
-    warp.Defer([audit = audit_, region, offset, bytes](gpusim::WarpCtx&) {
-      audit->OnGraphSpan(region, offset, bytes);
-      audit->BeginGraphSpan();
-    });
-  }
+  // One charge per page, each naming its region and offset in either mode,
+  // so an access observer can cost the page under the other placement.
   const std::size_t page_bytes = device_->params().um_page_bytes;
   std::size_t first = offset / page_bytes;
   std::size_t last = (offset + bytes - 1) / page_bytes;
@@ -226,11 +213,8 @@ void GraphAccessor::ChargeSpan(gpusim::WarpCtx& warp, std::size_t offset,
     if (PageIsUnified(p)) {
       warp.UnifiedRead(region, lo, hi - lo);
     } else {
-      warp.ZeroCopyRead(hi - lo);
+      warp.ZeroCopyRead(region, lo, hi - lo);
     }
-  }
-  if (audit_ != nullptr) {
-    warp.Defer([audit = audit_](gpusim::WarpCtx&) { audit->EndGraphSpan(); });
   }
 }
 
@@ -273,20 +257,6 @@ graph::Edge GraphAccessor::ReadEdgeEndpoints(gpusim::WarpCtx& warp,
   return graph_->edge_list()[e];
 }
 
-graph::Label GraphAccessor::ReadLabel(gpusim::WarpCtx& warp,
-                                      graph::VertexId v) {
-  if (options_.placement == GraphPlacement::kDeviceResident) {
-    warp.DeviceRead(device_csr_.id(), v * sizeof(graph::Label),
-                    sizeof(graph::Label));
-  } else {
-    // Labels are dense and heavily reused; they live in the unified space
-    // and compete for the page buffer like everything else.
-    warp.UnifiedRead(labels_.region(), v * sizeof(graph::Label),
-                     sizeof(graph::Label));
-  }
-  return graph_->label(v);
-}
-
 void GraphAccessor::ChargeLabelsBatch(
     gpusim::WarpCtx& warp, std::span<const graph::VertexId> vertices) {
   const std::size_t width =
@@ -327,18 +297,6 @@ void GraphAccessor::ChargeEdgeEndpointsBatch(gpusim::WarpCtx& warp,
           lanes * sizeof(uint64_t));
     }
   }
-}
-
-uint32_t GraphAccessor::ReadDegree(gpusim::WarpCtx& warp,
-                                   graph::VertexId v) {
-  if (options_.placement == GraphPlacement::kDeviceResident) {
-    // Two adjacent row-pointer entries give the degree.
-    warp.DeviceRead(device_csr_.id(), v * sizeof(uint64_t),
-                    2 * sizeof(uint64_t));
-  } else {
-    warp.ZeroCopyRead(2 * sizeof(uint64_t));
-  }
-  return graph_->degree(v);
 }
 
 }  // namespace gpm::core

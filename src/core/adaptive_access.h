@@ -1,6 +1,7 @@
 #ifndef GAMMA_CORE_ADAPTIVE_ACCESS_H_
 #define GAMMA_CORE_ADAPTIVE_ACCESS_H_
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -82,9 +83,6 @@ class GraphAccessor {
   /// edge index.
   graph::Edge ReadEdgeEndpoints(gpusim::WarpCtx& warp, graph::EdgeId e);
 
-  /// Charged read of `v`'s label.
-  graph::Label ReadLabel(gpusim::WarpCtx& warp, graph::VertexId v);
-
   /// Charged warp-coalesced read of the labels of `vertices`: one label
   /// transaction per warp-width batch (32 threads fetch 32 labels in
   /// parallel). Returns nothing — callers read labels through the graph;
@@ -97,10 +95,6 @@ class GraphAccessor {
   void ChargeEdgeEndpointsBatch(gpusim::WarpCtx& warp, graph::EdgeId first,
                                 std::size_t count);
 
-  /// Charged read of `v`'s degree (row-pointer pair). Plans precompute
-  /// frontier offsets host-side, so this is only for per-candidate lookups.
-  uint32_t ReadDegree(gpusim::WarpCtx& warp, graph::VertexId v);
-
   const graph::Graph& graph() const { return *graph_; }
   const Options& options() const { return options_; }
   const AccessHeatTracker& heat() const { return heat_; }
@@ -109,12 +103,15 @@ class GraphAccessor {
   /// Pages currently flagged for unified access (hybrid mode).
   std::size_t unified_page_count() const { return unified_page_count_; }
 
-  /// Bytes staged by the last explicit-transfer plan (kExplicitTransfer).
-  std::size_t staged_bytes() const { return staged_bytes_; }
+  /// The unified-memory ids of the column array and its edge-id mirror:
+  /// the regions whose pages the placement serves unified or zero-copy.
+  /// Every read of them names its region, in either mode.
+  std::array<gpusim::UnifiedMemory::RegionId, 2> adjacency_regions() const {
+    return {col_.region(), arc_eids_.region()};
+  }
 
   /// Attaches an adaptivity audit (owned by the engine). The accessor then
-  /// opens one audit record per PlanExtension and routes graph spans
-  /// through the audit's shadow cost models. Pass nullptr to detach.
+  /// opens one audit record per PlanExtension. Pass nullptr to detach.
   void set_audit(AdaptivityAudit* audit) { audit_ = audit; }
   AdaptivityAudit* audit() const { return audit_; }
 
@@ -143,9 +140,6 @@ class GraphAccessor {
   AccessHeatTracker heat_;
   std::vector<uint8_t> page_unified_;
   std::size_t unified_page_count_ = 0;
-
-  // Explicit-transfer staging state.
-  std::size_t staged_bytes_ = 0;
 
   // Optional decision/counterfactual audit (not owned).
   AdaptivityAudit* audit_ = nullptr;

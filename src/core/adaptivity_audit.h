@@ -4,9 +4,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/access_heat.h"
@@ -15,68 +13,21 @@
 #include "gpusim/device.h"
 #include "gpusim/sim_params.h"
 #include "gpusim/stats.h"
+#include "gpusim/unified_memory.h"
 
 namespace gpm::core {
 
-/// Traffic a shadow cost model accumulated: the same fields the real
-/// DeviceStats tracks for host-memory access, plus the warp-stall cycles
-/// the modeled charges would have cost.
+/// What one counterfactual placement would have paid: the host-memory
+/// counters of its page buffer and zero-copy charges (the other
+/// DeviceStats fields stay 0) and the warp-stall cycles of those charges.
 struct ShadowCounters {
   double cycles = 0;
-  uint64_t um_page_faults = 0;
-  uint64_t um_page_hits = 0;
-  uint64_t um_migrated_bytes = 0;
-  uint64_t um_evictions = 0;
-  uint64_t zc_transactions = 0;
-  uint64_t zc_bytes = 0;
+  gpusim::DeviceStats stats;
 
   /// Per-field difference `*this - since` (counters saturate at zero).
-  ShadowCounters Diff(const ShadowCounters& since) const;
-};
-
-/// Shadow replica of the unified-memory page buffer.
-///
-/// Replays an access stream through the exact LRU + cost arithmetic of
-/// `gpusim::UnifiedMemory::Access` (and `WarpCtx::ZeroCopyRead` for the
-/// zero-copy formula) without touching the real buffer, so a hybrid run
-/// can cost the same stream as if a pure placement had executed it. The
-/// per-access charge is summed locally and added to the running total
-/// once, matching the real accumulation order bit-for-bit.
-class ShadowPageLru {
- public:
-  ShadowPageLru(const gpusim::SimParams& params, std::size_t capacity_pages)
-      : params_(params), capacity_pages_(capacity_pages) {}
-
-  /// Replays a unified access of `[offset, offset + bytes)` in `region`.
-  void Access(uint32_t region, std::size_t offset, std::size_t bytes);
-
-  /// Replays a zero-copy charge of `bytes` (128 B transaction model).
-  void ZeroCopy(std::size_t bytes);
-
-  /// Mirrors UnifiedMemory::ResizeRegion: drops buffered pages past the
-  /// new size when the region shrank.
-  void DropRegionTail(uint32_t region, std::size_t old_bytes,
-                      std::size_t new_bytes);
-
-  /// Mirrors UnifiedMemory::InvalidateRegion.
-  void DropRegion(uint32_t region);
-
-  const ShadowCounters& counters() const { return counters_; }
-  std::size_t resident_pages() const { return lru_.size(); }
-
- private:
-  static uint64_t PageKey(uint32_t region, uint64_t page) {
-    return (static_cast<uint64_t>(region) << 48) | page;
+  ShadowCounters Diff(const ShadowCounters& since) const {
+    return {cycles - since.cycles, stats.Diff(since.stats)};
   }
-  void Insert(uint64_t key);
-
-  gpusim::SimParams params_;
-  std::size_t capacity_pages_;
-  ShadowCounters counters_;
-  // LRU over resident pages: front = most recent (same shape as the real
-  // buffer so eviction order matches exactly).
-  std::list<uint64_t> lru_;
-  std::unordered_map<uint64_t, std::list<uint64_t>::iterator> resident_;
 };
 
 /// Number of buckets in the per-record heat histogram: bucket 0 counts
@@ -139,15 +90,16 @@ struct AdaptivitySummary {
 /// for the self-adaptive hybrid (the paper's §IV / Fig. 20 claim).
 ///
 /// Attached as the device's AccessObserver, the audit sees every real
-/// unified/zero-copy charge and replays the identical access stream
-/// through two shadow models: a ShadowPageLru costing the run as if
-/// UnifiedOnly, and the 128 B-transaction arithmetic as if ZeroCopyOnly
-/// (graph spans only — labels, packed edges, and embedding-table columns
-/// stay unified under every host placement and are replayed into both
-/// shadow buffers, where they contend for capacity exactly as they would
-/// in the pure run). GraphAccessor routes graph spans through OnGraphSpan
-/// and brackets its real charges with SpanGuard so they are not replayed
-/// twice.
+/// unified/zero-copy charge and replays it into two counterfactual
+/// placements, each a private gpusim::UnifiedMemory page buffer with its
+/// own DeviceStats. A read of a graph adjacency region (the regions whose
+/// pages the placement decides) is replayed as a unified access into the
+/// unified-only shadow and as a zero-copy charge into the zero-copy-only
+/// one, whichever way the run served it. Every other read is replayed as
+/// it ran into both: labels, packed edges and embedding-table columns stay
+/// unified under every host placement and contend for buffer capacity
+/// exactly as in the pure runs, and unattributed zero-copy reads stay
+/// zero-copy.
 ///
 /// Because functional execution is placement-independent, a pure run
 /// observes the same access stream the hybrid run replays — so the
@@ -159,7 +111,11 @@ class AdaptivityAudit : public gpusim::AccessObserver {
  public:
   /// `device` must outlive the audit. `placement` is recorded in the
   /// export; shadow models are meaningful for the host placements only.
-  AdaptivityAudit(gpusim::Device* device, GraphPlacement placement);
+  /// `graph_regions` are the adjacency regions the placement decides
+  /// (GraphAccessor::adjacency_regions).
+  AdaptivityAudit(
+      gpusim::Device* device, GraphPlacement placement,
+      std::array<gpusim::UnifiedMemory::RegionId, 2> graph_regions);
   ~AdaptivityAudit() override;
 
   AdaptivityAudit(const AdaptivityAudit&) = delete;
@@ -179,40 +135,12 @@ class AdaptivityAudit : public gpusim::AccessObserver {
                         std::size_t unified_pages, double top_page_overlap,
                         double plan_cycles);
 
-  /// Replays one graph span through both shadow models (page-split
-  /// identical to GraphAccessor::ChargeSpan). The caller then performs
-  /// the real charges under a SpanGuard.
-  void OnGraphSpan(uint32_t region, std::size_t offset, std::size_t bytes);
-
-  /// Brackets for the real charges of a graph span already replayed via
-  /// OnGraphSpan, so the observer taps add them to the actual totals only.
-  /// Exposed (rather than SpanGuard-only) because GraphAccessor defers them
-  /// through WarpCtx::Defer on recording contexts, where the bracket must
-  /// travel with the charges into the ordered replay.
-  void BeginGraphSpan() { in_graph_span_ = true; }
-  void EndGraphSpan() { in_graph_span_ = false; }
-
-  /// RAII form of the brackets, for immediate-mode call sites.
-  class SpanGuard {
-   public:
-    explicit SpanGuard(AdaptivityAudit* audit) : audit_(audit) {
-      if (audit_ != nullptr) audit_->BeginGraphSpan();
-    }
-    ~SpanGuard() {
-      if (audit_ != nullptr) audit_->EndGraphSpan();
-    }
-    SpanGuard(const SpanGuard&) = delete;
-    SpanGuard& operator=(const SpanGuard&) = delete;
-
-   private:
-    AdaptivityAudit* audit_;
-  };
-
   // -- AccessObserver taps ---------------------------------------------------
 
   void OnUnifiedAccess(uint32_t region, std::size_t offset,
                        std::size_t bytes, double cycles) override;
-  void OnZeroCopy(std::size_t bytes, double cycles) override;
+  void OnZeroCopy(uint32_t region, std::size_t offset, std::size_t bytes,
+                  double cycles) override;
   void OnRegionResized(uint32_t region, std::size_t old_bytes,
                        std::size_t new_bytes) override;
   void OnRegionInvalidated(uint32_t region) override;
@@ -229,10 +157,10 @@ class AdaptivityAudit : public gpusim::AccessObserver {
   /// Cumulative shadow totals from attach — the counter counterpart of
   /// Summary()'s est_*_cycles (which are these structs' cycles fields).
   const ShadowCounters& unified_shadow_totals() const {
-    return shadow_unified_.counters();
+    return unified_.totals;
   }
   const ShadowCounters& zerocopy_shadow_totals() const {
-    return shadow_zerocopy_.counters();
+    return zerocopy_.totals;
   }
 
   /// Whole-run totals (accumulated from attach, so traffic before the
@@ -243,17 +171,34 @@ class AdaptivityAudit : public gpusim::AccessObserver {
   std::string ToJson();
 
  private:
+  /// One counterfactual placement: a page buffer counting into its own
+  /// totals. Charges are summed per access and added once, the same
+  /// accumulation order as a real warp's.
+  struct Shadow {
+    explicit Shadow(const gpusim::SimParams& p)
+        : params(p), buffer(p, &totals.stats) {}
+    void Unified(uint32_t region, std::size_t offset, std::size_t bytes);
+    void ZeroCopy(std::size_t bytes);
+
+    const gpusim::SimParams& params;
+    ShadowCounters totals;
+    gpusim::UnifiedMemory buffer;
+  };
+
+  bool IsGraphRegion(uint32_t region) const {
+    return region == graph_regions_[0] || region == graph_regions_[1];
+  }
   void CloseOpenRecord();
   double TotalRegretCycles() const;
 
   gpusim::Device* device_;
   GraphPlacement placement_;
-  ShadowPageLru shadow_unified_;
-  ShadowPageLru shadow_zerocopy_;
+  std::array<gpusim::UnifiedMemory::RegionId, 2> graph_regions_;
+  Shadow unified_;
+  Shadow zerocopy_;
 
   double actual_access_cycles_ = 0;  // cumulative observed charges
   double plan_cycles_total_ = 0;
-  bool in_graph_span_ = false;
 
   bool extension_open_ = false;
   int num_extensions_ = 0;

@@ -261,8 +261,7 @@ Result<CompiledRunResult> CompiledEngine::RunEdgeJoin(
 
   // Filter the length-1 table down to edges matching the first query edge.
   engine_->Filtering(et, [&](std::span<const Unit> emb) {
-    std::vector<graph::EdgeId> edges(emb.begin(), emb.end());
-    return graph::MatchesQueryPrefix(g, edges, query, query_edges);
+    return graph::MatchesQueryPrefix(g, emb, query, query_edges);
   });
   if (prof != nullptr) {
     prof->EndSegment(seed_rows, seed_rows, et->num_embeddings());
@@ -271,11 +270,8 @@ Result<CompiledRunResult> CompiledEngine::RunEdgeJoin(
   for (std::size_t k = 1; k < query_edges.size(); ++k) {
     EdgeExtensionSpec spec;
     spec.canonical_only = false;  // order is dictated by the query plan
-    spec.post_filter = [&](std::span<const Unit> emb, Unit cand) {
-      std::vector<graph::EdgeId> edges(emb.begin(), emb.end());
-      edges.push_back(cand);
-      return graph::MatchesQueryPrefix(g, edges, query, query_edges);
-    };
+    spec.query = &query;
+    spec.query_edges = query_edges;
     if (prof != nullptr) {
       PlanProfLevelInput in;
       in.label = LevelLabel("e", static_cast<int>(k));

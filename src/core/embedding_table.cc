@@ -73,7 +73,6 @@ void EmbeddingTable::ChargeColumnRead(gpusim::WarpCtx& warp, int col,
                                       std::size_t count) const {
   const Column& c = *columns_[col];
   if (device_resident_) {
-    constexpr std::size_t kEntryBytes = sizeof(Unit) + sizeof(RowIndex);
     warp.DeviceRead(device_columns_[col].id(), first * kEntryBytes,
                     count * kEntryBytes);
   } else {

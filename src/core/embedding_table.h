@@ -1,6 +1,7 @@
 #ifndef GAMMA_CORE_EMBEDDING_TABLE_H_
 #define GAMMA_CORE_EMBEDDING_TABLE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -18,6 +19,9 @@ using Unit = uint32_t;
 /// Row index within a column; kNoParent for the first column.
 using RowIndex = uint32_t;
 inline constexpr RowIndex kNoParent = 0xffffffffu;
+/// Bytes of one new-column entry an extension writes: the candidate unit
+/// plus its parent row index.
+inline constexpr std::size_t kEntryBytes = sizeof(Unit) + sizeof(RowIndex);
 
 enum class TableKind : uint8_t { kVertex, kEdge };
 

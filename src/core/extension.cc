@@ -2,20 +2,21 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <optional>
 #include <unordered_map>
 
 #include "common/logging.h"
 #include "core/intersection.h"
+#include "graph/isomorphism.h"
 
 namespace gpm::core {
 namespace {
 
 using graph::VertexId;
 
-constexpr std::size_t kEntryBytes = sizeof(Unit) + sizeof(RowIndex);
-// Cycles charged per post_filter invocation, and per candidate checked
-// against a level's restrictions.
+// Cycles charged per candidate checked against a query prefix (edge join)
+// or against a level's restrictions.
 constexpr double kPostFilterCycles = 4.0;
 
 const char* KindName(TableKind kind) {
@@ -99,8 +100,7 @@ struct WarpTask {
 // generator is strategy-agnostic; this function arranges passes, buffers,
 // pool traffic and flushes, and appends the final column.
 Result<ExtensionStats> RunExtension(
-    EmbeddingTable* table, GraphAccessor* accessor,
-    const ExtensionOptions& options, bool count_only,
+    EmbeddingTable* table, const ExtensionOptions& options, bool count_only,
     const std::vector<WarpTask>& tasks, const RowRangeGenerator& generate,
     std::size_t worst_case_per_row) {
   gpusim::Device* device = table->device();
@@ -368,7 +368,6 @@ Result<ExtensionStats> RunExtension(
     device->Synchronize();
   }
 
-  (void)accessor;
   if (!count_only) {
     Status append =
         table->AppendColumn(std::move(new_units), std::move(new_parents));
@@ -616,8 +615,8 @@ Result<ExtensionStats> VertexExtend(EmbeddingTable* table,
     return raw_candidates;
   };
 
-  auto result = RunExtension(table, accessor, options, level.count_only,
-                             tasks, generate, g.max_degree());
+  auto result = RunExtension(table, options, level.count_only, tasks,
+                             generate, g.max_degree());
   if (result.ok()) {
     result.value().groups = group_stats.groups;
   }
@@ -756,13 +755,20 @@ Result<ExtensionStats> EdgeExtend(EmbeddingTable* table,
   std::vector<WarpTask> tasks =
       BuildTasks(*table, grouped, options.rows_per_warp);
 
-  // `canon` is the calling task's own; it is reset once per row.
+  // `canon` and `joined` are the calling task's own; both are reset once
+  // per row. `joined` holds the row with a trailing slot for the candidate
+  // a query-prefix check tries.
   auto filter_and_emit = [&](gpusim::WarpCtx& w, std::size_t row,
                              std::span<const Unit> emb,
                              const std::vector<graph::EdgeId>& cands,
                              CanonicalRowContext& canon,
+                             std::vector<graph::EdgeId>& joined,
                              std::vector<Emit>* out) {
     if (spec.canonical_only) canon.Reset(emb);
+    if (spec.query != nullptr) {
+      joined.assign(emb.begin(), emb.end());
+      joined.push_back(0);
+    }
     for (graph::EdgeId cand : cands) {
       bool fresh = true;
       for (Unit u : emb) {
@@ -776,9 +782,13 @@ Result<ExtensionStats> EdgeExtend(EmbeddingTable* table,
         w.ChargeCompute(static_cast<double>(len * len));
         if (!canon.Accepts(cand)) continue;
       }
-      if (spec.post_filter) {
+      if (spec.query != nullptr) {
         w.ChargeCompute(kPostFilterCycles);
-        if (!spec.post_filter(emb, cand)) continue;
+        joined.back() = cand;
+        if (!graph::MatchesQueryPrefix(g, joined, *spec.query,
+                                       spec.query_edges)) {
+          continue;
+        }
       }
       out->push_back({cand, static_cast<RowIndex>(row)});
     }
@@ -809,7 +819,7 @@ Result<ExtensionStats> EdgeExtend(EmbeddingTable* table,
     std::size_t raw_candidates = 0;
     ChargeTableRead(w, *table, lo, hi);
     std::vector<VertexId> verts, last_verts;
-    std::vector<graph::EdgeId> base, extra, cands;
+    std::vector<graph::EdgeId> base, extra, cands, joined;
     CanonicalRowContext canon(g);
     if (grouped) {
       // Hoist the shared prefix's incident edges.
@@ -835,7 +845,7 @@ Result<ExtensionStats> EdgeExtend(EmbeddingTable* table,
                        std::back_inserter(cands));
         w.ChargeSimtWork(base.size() + extra.size(), 0.25);
         raw_candidates += cands.size();
-        filter_and_emit(w, r, emb, cands, canon, out);
+        filter_and_emit(w, r, emb, cands, canon, joined, out);
       }
     } else {
       for (std::size_t r = lo; r < hi; ++r) {
@@ -844,7 +854,7 @@ Result<ExtensionStats> EdgeExtend(EmbeddingTable* table,
         verts_of(emb, &verts);
         gather(w, verts, &cands);
         raw_candidates += cands.size();
-        filter_and_emit(w, r, emb, cands, canon, out);
+        filter_and_emit(w, r, emb, cands, canon, joined, out);
       }
     }
     return raw_candidates;
@@ -853,8 +863,8 @@ Result<ExtensionStats> EdgeExtend(EmbeddingTable* table,
   // Worst case new edges per row: every incident edge of every endpoint.
   std::size_t worst = static_cast<std::size_t>(g.max_degree()) *
                       static_cast<std::size_t>(len + 1);
-  auto result = RunExtension(table, accessor, options, /*count_only=*/false,
-                             tasks, generate, std::max<std::size_t>(1, worst));
+  auto result = RunExtension(table, options, /*count_only=*/false, tasks,
+                             generate, std::max<std::size_t>(1, worst));
   if (result.ok() && grouped) result.value().groups = tasks.size();
   return result;
 }

@@ -2,9 +2,9 @@
 #define GAMMA_CORE_EXTENSION_H_
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -115,8 +115,11 @@ struct EdgeExtensionSpec {
   /// Keep only canonical insertion sequences, so every connected edge set
   /// is produced exactly once (Arabesque-style canonicality).
   bool canonical_only = true;
-  /// Optional extra predicate over (embedding edge ids, candidate edge id).
-  std::function<bool(std::span<const Unit>, Unit)> post_filter;
+  /// Edge-at-a-time matching (binary join): when set, a candidate survives
+  /// only if the row plus the candidate maps onto the first row-length + 1
+  /// `query_edges` of `query` (graph::MatchesQueryPrefix). Null for FPM.
+  const graph::Pattern* query = nullptr;
+  std::span<const std::pair<int, int>> query_edges;
 };
 
 /// Extends every embedding of the v-ET by one vertex as `level` describes

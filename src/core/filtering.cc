@@ -14,23 +14,14 @@ constexpr double kPredicateCycles = 4.0;
 
 FilterStats MarkAndCompact(EmbeddingTable* table,
                            const std::vector<uint8_t>& keep,
-                           std::size_t predicate_rows, double mark_cycles,
-                           const FilterOptions& options) {
+                           std::size_t predicate_rows, double mark_cycles) {
   FilterStats stats;
   stats.checked = predicate_rows;
   for (uint8_t k : keep) {
     if (!k) ++stats.removed;
   }
-  stats.kernel_cycles = mark_cycles;
-  if (options.compress) {
-    stats.compaction = CompactTable(table, keep);
-    stats.kernel_cycles += stats.compaction.kernel_cycles;
-  } else if (stats.removed > 0) {
-    // Without compression the invalid rows stay as holes; model the flag
-    // column that downstream kernels must consult.
-    std::vector<uint8_t> dense(keep);
-    (void)dense;
-  }
+  stats.compaction = CompactTable(table, keep);
+  stats.kernel_cycles = mark_cycles + stats.compaction.kernel_cycles;
   return stats;
 }
 
@@ -38,8 +29,7 @@ FilterStats MarkAndCompact(EmbeddingTable* table,
 
 FilterStats FilterEmbeddings(
     EmbeddingTable* table,
-    const std::function<bool(std::span<const Unit>)>& keep,
-    const FilterOptions& options) {
+    const std::function<bool(std::span<const Unit>)>& keep) {
   const std::size_t rows = table->num_embeddings();
   const int len = table->length();
   std::vector<uint8_t> marks(rows, 1);
@@ -63,13 +53,12 @@ FilterStats FilterEmbeddings(
     },
     "filter-mark");
   }
-  return MarkAndCompact(table, marks, rows, cycles, options);
+  return MarkAndCompact(table, marks, rows, cycles);
 }
 
 FilterStats FilterByPattern(EmbeddingTable* table,
                             const std::vector<uint64_t>& codes,
-                            const PatternTable& pt,
-                            const FilterOptions& options) {
+                            const PatternTable& pt) {
   GAMMA_CHECK(codes.size() == table->num_embeddings())
       << "codes misaligned with table";
   std::unordered_set<uint64_t> invalid = pt.InvalidCodes();
@@ -93,7 +82,7 @@ FilterStats FilterByPattern(EmbeddingTable* table,
     },
     "filter-mark-pattern");
   }
-  return MarkAndCompact(table, marks, rows, cycles, options);
+  return MarkAndCompact(table, marks, rows, cycles);
 }
 
 }  // namespace gpm::core

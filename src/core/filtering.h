@@ -19,26 +19,19 @@ struct FilterStats {
   CompactionResult compaction;
 };
 
-struct FilterOptions {
-  /// Compress the table after marking (Fig. 6(c)); GAMMA always does, the
-  /// ablation baselines may skip it.
-  bool compress = true;
-};
-
 /// The filtering primitive over embeddings: marks rows failing `keep`,
-/// then compresses the table. `keep` sees the fully reconstructed
-/// embedding (oldest unit first).
+/// then compacts the table (Fig. 6(c)), pruning ancestors left without
+/// descendants. `keep` sees the fully reconstructed embedding (oldest unit
+/// first).
 FilterStats FilterEmbeddings(
     EmbeddingTable* table,
-    const std::function<bool(std::span<const Unit>)>& keep,
-    const FilterOptions& options);
+    const std::function<bool(std::span<const Unit>)>& keep);
 
 /// FPM-style filtering: drops embeddings whose pattern (per `codes`, as
 /// returned by Aggregate) is invalid in `pt` (Algorithm 2, line 4).
 FilterStats FilterByPattern(EmbeddingTable* table,
                             const std::vector<uint64_t>& codes,
-                            const PatternTable& pt,
-                            const FilterOptions& options);
+                            const PatternTable& pt);
 
 }  // namespace gpm::core
 

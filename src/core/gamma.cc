@@ -34,7 +34,8 @@ GammaEngine::GammaEngine(gpusim::Device* device, const graph::Graph* graph,
                              placement == GraphPlacement::kUnifiedOnly ||
                              placement == GraphPlacement::kZeroCopyOnly;
   if (options_.adaptivity_audit && host_resident) {
-    audit_ = std::make_unique<AdaptivityAudit>(device_, placement);
+    audit_ = std::make_unique<AdaptivityAudit>(
+        device_, placement, accessor_.adjacency_regions());
     device_->set_access_observer(audit_.get());
     accessor_.set_audit(audit_.get());
   }
@@ -183,7 +184,7 @@ FilterStats GammaEngine::Filtering(
     const std::function<bool(std::span<const Unit>)>& constraint) {
   GAMMA_CHECK(prepared_) << "engine not prepared";
   gpusim::PhaseScope phase(device_, kPhaseFiltering);
-  return FilterEmbeddings(et, constraint, options_.filter);
+  return FilterEmbeddings(et, constraint);
 }
 
 FilterStats GammaEngine::Filtering(EmbeddingTable* et,
@@ -191,7 +192,7 @@ FilterStats GammaEngine::Filtering(EmbeddingTable* et,
                                    const PatternTable& pt) {
   GAMMA_CHECK(prepared_) << "engine not prepared";
   gpusim::PhaseScope phase(device_, kPhaseFiltering);
-  return FilterByPattern(et, codes, pt, options_.filter);
+  return FilterByPattern(et, codes, pt);
 }
 
 std::string GammaEngine::OutputResults(const EmbeddingTable* et,

@@ -25,7 +25,6 @@ struct GammaOptions {
   /// table can exceed device memory, which is what Optimization 3
   /// addresses.
   SortOptions sort;
-  FilterOptions filter;
   /// In-core mode: embedding tables live in device memory and runs fail
   /// with kDeviceOutOfMemory when they outgrow it (baseline behaviour).
   /// With no host spill to fall back on, Prepare also caps the write pool

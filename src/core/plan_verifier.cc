@@ -16,10 +16,6 @@ namespace {
 
 using graph::Pattern;
 
-// Mirrors the (file-local) constant in extension.cc: one embedding-table
-// entry is a candidate unit plus its parent row index.
-constexpr std::size_t kEntryBytes = sizeof(Unit) + sizeof(RowIndex);
-
 std::string VecToString(const std::vector<int>& v) {
   std::ostringstream os;
   os << "[";

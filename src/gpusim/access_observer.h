@@ -14,11 +14,13 @@ namespace gpm::gpusim {
 /// anything back into the cost model — the simulated cycle totals and
 /// counters are bit-identical whether an observer is attached or not —
 /// which is what lets `core::AdaptivityAudit` replay the same stream
-/// through counterfactual shadow models while the real run proceeds.
+/// through counterfactual page buffers while the real run proceeds.
 ///
 /// Notifications carry the charge the real access produced so an observer
-/// can accumulate actual access cycles without re-deriving the cost model;
-/// shadow replays instead recompute charges from their own buffer state.
+/// can accumulate actual access cycles without re-deriving the cost model.
+/// On a parallel launch the taps fire while the launching thread replays
+/// each task's log, so an observer sees the serial order at any thread
+/// count.
 class AccessObserver {
  public:
   virtual ~AccessObserver() = default;
@@ -30,13 +32,16 @@ class AccessObserver {
                                std::size_t bytes, double cycles) = 0;
 
   /// One completed zero-copy charge of `bytes` (zero-byte charges are not
-  /// reported). `cycles` is the warp stall charged for the rounded-up
-  /// 128 B transactions.
-  virtual void OnZeroCopy(std::size_t bytes, double cycles) = 0;
+  /// reported) at `[offset, offset + bytes)` of the host array whose
+  /// unified-memory id is `region`; region 0 is an unattributed access.
+  /// `cycles` is the warp stall charged for the rounded-up transactions.
+  virtual void OnZeroCopy(uint32_t region, std::size_t offset,
+                          std::size_t bytes, double cycles) = 0;
 
   /// `region` was resized from `old_bytes` to `new_bytes`; pages past the
   /// new size were dropped from the page buffer. Shadow buffers must drop
-  /// the same pages to stay coherent with the real LRU.
+  /// the same pages (UnifiedMemory::DropPagesPast) to stay coherent with
+  /// the real LRU.
   virtual void OnRegionResized(uint32_t region, std::size_t old_bytes,
                                std::size_t new_bytes) = 0;
 

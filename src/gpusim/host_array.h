@@ -2,22 +2,20 @@
 #define GAMMA_GPUSIM_HOST_ARRAY_H_
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 #include "gpusim/device.h"
-#include "gpusim/warp.h"
 
 namespace gpm::gpusim {
 
 /// A typed host-resident array addressable from simulated device code.
 ///
 /// The payload lives in an ordinary std::vector (the functional truth);
-/// `Read` charges the calling warp according to the chosen access mode and
-/// returns a span over the actual data. A HostArray registers itself as a
-/// unified-memory region, so unified reads share the device-wide page
-/// buffer, and reports its footprint to the host-memory tracker for peak
-/// memory accounting (Fig. 10).
+/// kernels read it through the host data and charge the traffic with
+/// WarpCtx::UnifiedRead or WarpCtx::ZeroCopyRead against `region()`. A
+/// HostArray registers itself as a unified-memory region, so unified reads
+/// share the device-wide page buffer, and reports its footprint to the
+/// host-memory tracker for peak memory accounting (Fig. 10).
 template <typename T>
 class HostArray {
  public:
@@ -55,30 +53,6 @@ class HostArray {
   std::vector<T>& mutable_host_data() { return data_; }
 
   UnifiedMemory::RegionId region() const { return region_; }
-
-  /// Reads `count` elements starting at `first` from device code, charging
-  /// `warp` according to `mode`. Returns a span over the live data.
-  std::span<const T> Read(WarpCtx& warp, std::size_t first,
-                          std::size_t count, AccessMode mode) const {
-    std::size_t bytes = count * sizeof(T);
-    switch (mode) {
-      case AccessMode::kDeviceResident:
-        warp.DeviceRead(bytes);
-        break;
-      case AccessMode::kUnified:
-        warp.UnifiedRead(region_, first * sizeof(T), bytes);
-        break;
-      case AccessMode::kZeroCopy:
-        warp.ZeroCopyRead(bytes);
-        break;
-    }
-    return std::span<const T>(data_.data() + first, count);
-  }
-
-  /// Single-element read.
-  T ReadOne(WarpCtx& warp, std::size_t index, AccessMode mode) const {
-    return Read(warp, index, 1, mode)[0];
-  }
 
  private:
   Device* device_;

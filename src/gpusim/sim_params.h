@@ -99,6 +99,18 @@ struct SimParams {
   /// a helper can export traces.
   bool record_timeline = false;
 
+  /// Zero-copy transactions an access of `bytes` occupies (rounded up).
+  std::size_t ZeroCopyTransactions(std::size_t bytes) const {
+    return (bytes + zc_transaction_bytes - 1) / zc_transaction_bytes;
+  }
+
+  /// Warp stall of one zero-copy access of `transactions` (>= 1)
+  /// transactions: the first pays full link latency; the rest pipeline.
+  double ZeroCopyCycles(std::size_t transactions) const {
+    return pcie_latency_cycles +
+           static_cast<double>(transactions - 1) * zc_pipelined_cycles;
+  }
+
   double CyclesToSeconds(double cycles) const {
     return cycles * 1e-9 / clock_ghz;
   }

@@ -41,16 +41,20 @@ void UnifiedMemory::ResizeRegion(RegionId region, std::size_t new_bytes) {
   if (observer_ != nullptr) {
     observer_->OnRegionResized(region, old_bytes, new_bytes);
   }
-  if (new_bytes < old_bytes) {
-    uint64_t first_stale = (new_bytes + params_.um_page_bytes - 1) /
-                           params_.um_page_bytes;
-    uint64_t last = old_bytes / params_.um_page_bytes;
-    for (uint64_t p = first_stale; p <= last; ++p) {
-      auto rit = resident_.find(PageKey(region, p));
-      if (rit != resident_.end()) {
-        lru_.erase(rit->second);
-        resident_.erase(rit);
-      }
+  DropPagesPast(region, old_bytes, new_bytes);
+}
+
+void UnifiedMemory::DropPagesPast(RegionId region, std::size_t old_bytes,
+                                  std::size_t new_bytes) {
+  if (new_bytes >= old_bytes) return;
+  uint64_t first_stale =
+      (new_bytes + params_.um_page_bytes - 1) / params_.um_page_bytes;
+  uint64_t last = old_bytes / params_.um_page_bytes;
+  for (uint64_t p = first_stale; p <= last; ++p) {
+    auto it = resident_.find(PageKey(region, p));
+    if (it != resident_.end()) {
+      lru_.erase(it->second);
+      resident_.erase(it);
     }
   }
 }

@@ -85,8 +85,14 @@ class UnifiedMemory {
   RegionId Register(std::size_t bytes);
 
   /// Grows or shrinks a region. Shrinking invalidates buffered pages that
-  /// fall beyond the new size.
+  /// fall beyond the new size (DropPagesPast).
   void ResizeRegion(RegionId region, std::size_t new_bytes);
+
+  /// Drops the buffered pages of `region` that a shrink from `old_bytes`
+  /// to `new_bytes` leaves wholly outside it; a no-op unless the region
+  /// shrank. No eviction is counted.
+  void DropPagesPast(RegionId region, std::size_t old_bytes,
+                     std::size_t new_bytes);
 
   /// Simulates a device-side access of `[offset, offset + bytes)` within
   /// `region`. Faults and migrates non-resident pages.
@@ -107,10 +113,6 @@ class UnifiedMemory {
   std::size_t resident_pages() const { return lru_.size(); }
   std::size_t capacity_pages() const { return capacity_pages_; }
 
-  /// Overrides the buffer capacity (used when device memory pressure forces
-  /// a smaller page buffer than the default).
-  void set_capacity_pages(std::size_t pages) { capacity_pages_ = pages; }
-
  private:
   // Region id in the top 16 bits, page number in the low 48.
   static uint64_t PageKey(RegionId region, uint64_t page) {
@@ -125,7 +127,7 @@ class UnifiedMemory {
   Sanitizer* sanitizer_ = nullptr;
   TraceRecorder* trace_ = nullptr;
   const double* now_cycles_ = nullptr;
-  std::size_t capacity_pages_;
+  const std::size_t capacity_pages_;
   RegionId next_region_ = 1;
   std::unordered_map<RegionId, std::size_t> region_bytes_;
 

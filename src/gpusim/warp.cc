@@ -111,25 +111,25 @@ void WarpCtx::DeviceWrite(DeviceMemory::AllocId alloc, std::size_t offset,
   }
 }
 
-void WarpCtx::ZeroCopyRead(std::size_t bytes) {
+void WarpCtx::ZeroCopyRead(std::size_t bytes) { ZeroCopyRead(0, 0, bytes); }
+
+void WarpCtx::ZeroCopyRead(UnifiedMemory::RegionId region, std::size_t offset,
+                           std::size_t bytes) {
   if (bytes == 0) return;
   if (log_ != nullptr) {
-    log_->ops.push_back({WarpOp::kZeroCopyRead, 0, 0, bytes, 0});
+    log_->ops.push_back({WarpOp::kZeroCopyRead, region, offset, bytes, 0});
     return;
   }
   const SimParams& p = device_->params();
-  std::size_t ntx =
-      (bytes + p.zc_transaction_bytes - 1) / p.zc_transaction_bytes;
+  const std::size_t ntx = p.ZeroCopyTransactions(bytes);
   device_->stats().zc_transactions += ntx;
   device_->stats().zc_bytes += ntx * p.zc_transaction_bytes;
-  // First transaction pays full link latency; the rest pipeline.
-  const double charge = p.pcie_latency_cycles +
-                        static_cast<double>(ntx - 1) * p.zc_pipelined_cycles;
+  const double charge = p.ZeroCopyCycles(ntx);
   cycles_ += charge;
   AddClassCycles(ResourceClass::kPcie, charge);
   AddPcieBytes(ntx * p.zc_transaction_bytes);
   if (AccessObserver* obs = device_->access_observer()) {
-    obs->OnZeroCopy(bytes, charge);
+    obs->OnZeroCopy(region, offset, bytes, charge);
   }
 }
 
@@ -189,7 +189,7 @@ void WarpCtx::Replay(const WarpTaskLog& log) {
         DeviceWrite(op.id, op.a, op.b);
         break;
       case WarpOp::kZeroCopyRead:
-        ZeroCopyRead(op.b);
+        ZeroCopyRead(static_cast<UnifiedMemory::RegionId>(op.id), op.a, op.b);
         break;
       case WarpOp::kUnifiedRead:
         UnifiedRead(static_cast<UnifiedMemory::RegionId>(op.id), op.a, op.b);

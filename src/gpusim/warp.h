@@ -32,7 +32,8 @@ struct WarpOp {
     kChargeBlockSync,
     kDeviceRead,      // id = alloc (0 = unattributed), a = offset, b = bytes
     kDeviceWrite,     // id = alloc (0 = unattributed), a = offset, b = bytes
-    kZeroCopyRead,    // b = bytes (writes share the symmetric cost model)
+    kZeroCopyRead,    // id = region (0 = unattributed), a = offset,
+                      // b = bytes (writes share the symmetric cost model)
     kUnifiedRead,     // id = region, a = offset, b = bytes
     kAddPcieBytes,    // b = bytes
     kCallback,        // a = index into WarpTaskLog::callbacks
@@ -49,17 +50,6 @@ struct WarpOp {
 struct WarpTaskLog {
   std::vector<WarpOp> ops;
   std::vector<std::function<void(WarpCtx&)>> callbacks;
-};
-
-/// How device code reaches a host- or device-resident array.
-///
-/// GAMMA's self-adaptive strategy picks, per page and per extension, between
-/// kUnified and kZeroCopy for host-resident graph data; data placed in
-/// device memory uses kDeviceResident.
-enum class AccessMode : uint8_t {
-  kDeviceResident,
-  kUnified,
-  kZeroCopy,
 };
 
 /// Execution context of one warp task inside a kernel.
@@ -128,6 +118,12 @@ class WarpCtx {
   /// Read of `bytes` from host memory over zero-copy (128 B transactions).
   void ZeroCopyRead(std::size_t bytes);
 
+  /// Attributed variant: identical charge, plus the host array it reads
+  /// (`region`, its unified-memory id; 0 = unattributed) and the byte
+  /// offset, which the access observer receives.
+  void ZeroCopyRead(UnifiedMemory::RegionId region, std::size_t offset,
+                    std::size_t bytes);
+
   /// Write of `bytes` to host memory over zero-copy.
   void ZeroCopyWrite(std::size_t bytes);
 
@@ -139,8 +135,8 @@ class WarpCtx {
   /// Runs `fn(*this)` now in immediate mode, or records it for ordered
   /// replay on the launching thread when recording. This is the escape
   /// hatch for side effects the typed ops cannot express (memory-pool
-  /// bookkeeping, audit span brackets); the callback executes interleaved
-  /// with the replayed charges exactly where the call sat in the task.
+  /// bookkeeping); the callback executes interleaved with the replayed
+  /// charges exactly where the call sat in the task.
   void Defer(std::function<void(WarpCtx&)> fn);
 
   /// Applies every op in `log` to this (immediate-mode) context, in order.

@@ -222,9 +222,9 @@ bool PrefixLabelOk(const Graph& g, const Pattern& q, int qv, VertexId dv) {
 
 // Backtracking assignment of query vertices to data vertices consistent
 // with the edge sequence; both orientations of each data edge are tried.
-bool TryAssign(const Graph& g, const std::vector<EdgeId>& edges,
+bool TryAssign(const Graph& g, std::span<const EdgeId> edges,
                const Pattern& query,
-               const std::vector<std::pair<int, int>>& query_edges,
+               std::span<const std::pair<int, int>> query_edges,
                std::size_t idx, std::vector<int>& qv_to_dv,
                std::vector<int>& dv_owner_qv,
                std::vector<VertexId>& bound_dvs) {
@@ -285,9 +285,9 @@ bool TryAssign(const Graph& g, const std::vector<EdgeId>& edges,
 
 }  // namespace
 
-bool MatchesQueryPrefix(const Graph& g, const std::vector<EdgeId>& edges,
+bool MatchesQueryPrefix(const Graph& g, std::span<const EdgeId> edges,
                         const Pattern& query,
-                        const std::vector<std::pair<int, int>>& query_edges) {
+                        std::span<const std::pair<int, int>> query_edges) {
   GAMMA_CHECK(edges.size() <= query_edges.size()) << "prefix too long";
   std::vector<int> qv_to_dv(query.num_vertices(), -1);
   std::vector<int> dv_owner;

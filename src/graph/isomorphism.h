@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/csr.h"
@@ -59,9 +60,9 @@ std::vector<std::pair<int, int>> ConnectedEdgeOrder(const Pattern& p);
 /// first `edges.size()` edges of `query_edges` (pairs over query vertices,
 /// with `query` supplying labels) by a consistent injective vertex
 /// assignment. The per-prefix constraint of binary-join matching.
-bool MatchesQueryPrefix(const Graph& g, const std::vector<EdgeId>& edges,
+bool MatchesQueryPrefix(const Graph& g, std::span<const EdgeId> edges,
                         const Pattern& query,
-                        const std::vector<std::pair<int, int>>& query_edges);
+                        std::span<const std::pair<int, int>> query_edges);
 
 }  // namespace gpm::graph
 

@@ -229,20 +229,6 @@ TEST_F(GraphAccessorTest, DeviceResidentFitsAndCopies) {
   EXPECT_GT(device.stats().device_reads, 0u);
 }
 
-TEST_F(GraphAccessorTest, LabelsReadable) {
-  gpusim::Device device(Params());
-  Rng rng(6);
-  graph::Graph g = graph::ErdosRenyi(100, 200, &rng);
-  graph::AssignLabelsZipf(&g, 4, 0.0, &rng);
-  GraphAccessor accessor(&device, &g, {});
-  ASSERT_TRUE(accessor.Prepare().ok());
-  device.LaunchKernel(1, [&](gpusim::WarpCtx& w, std::size_t) {
-    for (graph::VertexId v = 0; v < 20; ++v) {
-      EXPECT_EQ(accessor.ReadLabel(w, v), g.label(v));
-    }
-  });
-}
-
 TEST_F(GraphAccessorTest, EdgeEndpointsAndEids) {
   gpusim::Device device(Params());
   Rng rng(7);

@@ -49,13 +49,16 @@ struct RunOutcome {
   ShadowCounters est_unified;
   ShadowCounters est_zerocopy;
   std::vector<AdaptivityRecord> records;
+  std::string json;  // gamma.adaptivity.v1: every record plus the totals
 };
 
 /// Runs 4-clique counting on a fresh device under `placement`, capturing
 /// the audit state (when enabled) before the engine goes away.
 RunOutcome RunKClique(const graph::Graph& g, GraphPlacement placement,
-                      bool audit) {
-  gpusim::Device device(TestParams());
+                      bool audit, int host_threads = 1) {
+  gpusim::SimParams params = TestParams();
+  params.host_threads = host_threads;
+  gpusim::Device device(params);
   GammaOptions options;
   options.access.placement = placement;
   options.adaptivity_audit = audit;
@@ -75,6 +78,7 @@ RunOutcome RunKClique(const graph::Graph& g, GraphPlacement placement,
     out.est_unified = engine.audit()->unified_shadow_totals();
     out.est_zerocopy = engine.audit()->zerocopy_shadow_totals();
     out.records = engine.audit()->records();
+    out.json = engine.audit()->ToJson();
   }
   return out;
 }
@@ -98,15 +102,20 @@ TEST(AdaptivityAuditTest, ShadowUnifiedMatchesPureUnifiedGroundTruth) {
 
   // Counter-exact: the shadow LRU walked the same pages in the same order
   // as the pure run's real page buffer.
-  EXPECT_EQ(hybrid.est_unified.um_page_faults, unified.stats.um_page_faults);
-  EXPECT_EQ(hybrid.est_unified.um_page_hits, unified.stats.um_page_hits);
-  EXPECT_EQ(hybrid.est_unified.um_migrated_bytes,
+  EXPECT_EQ(hybrid.est_unified.stats.um_page_faults,
+            unified.stats.um_page_faults);
+  EXPECT_EQ(hybrid.est_unified.stats.um_page_hits,
+            unified.stats.um_page_hits);
+  EXPECT_EQ(hybrid.est_unified.stats.um_migrated_bytes,
             unified.stats.um_migrated_bytes);
-  EXPECT_EQ(hybrid.est_unified.um_evictions, unified.stats.um_evictions);
+  EXPECT_EQ(hybrid.est_unified.stats.um_evictions,
+            unified.stats.um_evictions);
   // The pure-unified run still zero-copies what stays zero-copy under
-  // every placement (degree probes); the shadow replays those too.
-  EXPECT_EQ(hybrid.est_unified.zc_transactions, unified.stats.zc_transactions);
-  EXPECT_EQ(hybrid.est_unified.zc_bytes, unified.stats.zc_bytes);
+  // every placement (the start table's scan kernel in
+  // GammaEngine::InitVertexTable); the shadow replays those too.
+  EXPECT_EQ(hybrid.est_unified.stats.zc_transactions,
+            unified.stats.zc_transactions);
+  EXPECT_EQ(hybrid.est_unified.stats.zc_bytes, unified.stats.zc_bytes);
 
   // Cycle-exact: same charges in the same order, accumulated the same way.
   EXPECT_DOUBLE_EQ(hybrid.est_unified.cycles,
@@ -121,15 +130,18 @@ TEST(AdaptivityAuditTest, ShadowZeroCopyMatchesPureZeroCopyGroundTruth) {
   ASSERT_TRUE(zc.has_audit);
   EXPECT_EQ(hybrid.cliques, zc.cliques);
 
-  EXPECT_EQ(hybrid.est_zerocopy.zc_transactions, zc.stats.zc_transactions);
-  EXPECT_EQ(hybrid.est_zerocopy.zc_bytes, zc.stats.zc_bytes);
+  EXPECT_EQ(hybrid.est_zerocopy.stats.zc_transactions,
+            zc.stats.zc_transactions);
+  EXPECT_EQ(hybrid.est_zerocopy.stats.zc_bytes, zc.stats.zc_bytes);
   // Non-graph data (labels, packed edges, table columns) stays unified
   // under every host placement, so the zero-copy shadow carries the same
   // unified traffic the pure run actually paid.
-  EXPECT_EQ(hybrid.est_zerocopy.um_page_faults, zc.stats.um_page_faults);
-  EXPECT_EQ(hybrid.est_zerocopy.um_page_hits, zc.stats.um_page_hits);
-  EXPECT_EQ(hybrid.est_zerocopy.um_migrated_bytes, zc.stats.um_migrated_bytes);
-  EXPECT_EQ(hybrid.est_zerocopy.um_evictions, zc.stats.um_evictions);
+  EXPECT_EQ(hybrid.est_zerocopy.stats.um_page_faults,
+            zc.stats.um_page_faults);
+  EXPECT_EQ(hybrid.est_zerocopy.stats.um_page_hits, zc.stats.um_page_hits);
+  EXPECT_EQ(hybrid.est_zerocopy.stats.um_migrated_bytes,
+            zc.stats.um_migrated_bytes);
+  EXPECT_EQ(hybrid.est_zerocopy.stats.um_evictions, zc.stats.um_evictions);
 
   EXPECT_DOUBLE_EQ(hybrid.est_zerocopy.cycles,
                    zc.summary.actual_access_cycles);
@@ -144,8 +156,10 @@ TEST(AdaptivityAuditTest, PureRunShadowIsSelfConsistent) {
   ASSERT_TRUE(unified.has_audit);
   EXPECT_DOUBLE_EQ(unified.est_unified.cycles,
                    unified.summary.actual_access_cycles);
-  EXPECT_EQ(unified.est_unified.um_page_faults, unified.stats.um_page_faults);
-  EXPECT_EQ(unified.est_unified.um_evictions, unified.stats.um_evictions);
+  EXPECT_EQ(unified.est_unified.stats.um_page_faults,
+            unified.stats.um_page_faults);
+  EXPECT_EQ(unified.est_unified.stats.um_evictions,
+            unified.stats.um_evictions);
   EXPECT_DOUBLE_EQ(unified.summary.est_unified_cycles,
                    unified.est_unified.cycles);
   // Pure runs plan nothing, so plan_cycles stays zero and regret reduces
@@ -156,7 +170,7 @@ TEST(AdaptivityAuditTest, PureRunShadowIsSelfConsistent) {
   RunOutcome zc = RunKClique(g, GraphPlacement::kZeroCopyOnly, true);
   ASSERT_TRUE(zc.has_audit);
   EXPECT_DOUBLE_EQ(zc.est_zerocopy.cycles, zc.summary.actual_access_cycles);
-  EXPECT_EQ(zc.est_zerocopy.zc_transactions, zc.stats.zc_transactions);
+  EXPECT_EQ(zc.est_zerocopy.stats.zc_transactions, zc.stats.zc_transactions);
   EXPECT_DOUBLE_EQ(zc.summary.plan_cycles, 0.0);
   EXPECT_GE(zc.summary.regret_cycles, 0.0);
 }
@@ -180,6 +194,38 @@ TEST(AdaptivityAuditTest, AuditDoesNotPerturbSimulation) {
          gpusim::DeviceStats::Fields()) {
       EXPECT_EQ(off.stats.*f.member, on.stats.*f.member)
           << GraphPlacementName(placement) << " " << f.name;
+    }
+  }
+}
+
+// The taps fire while the launching thread replays each task's log, so a
+// parallel run replays the same stream into the shadows in the same order.
+TEST(AdaptivityAuditTest, RecordsIdenticalAcrossHostThreads) {
+  graph::Graph g = TestGraph();
+  for (GraphPlacement placement :
+       {GraphPlacement::kHybridAdaptive, GraphPlacement::kUnifiedOnly,
+        GraphPlacement::kZeroCopyOnly}) {
+    RunOutcome serial = RunKClique(g, placement, true, 1);
+    RunOutcome parallel = RunKClique(g, placement, true, 4);
+    ASSERT_TRUE(serial.has_audit);
+    ASSERT_TRUE(parallel.has_audit);
+    const char* name = GraphPlacementName(placement);
+    EXPECT_EQ(serial.records.size(), parallel.records.size()) << name;
+    // %.17g round-trips every double, so equal documents mean every
+    // record field and summary total is bit-identical.
+    EXPECT_EQ(serial.json, parallel.json) << name;
+    EXPECT_EQ(serial.est_unified.cycles, parallel.est_unified.cycles)
+        << name;
+    EXPECT_EQ(serial.est_zerocopy.cycles, parallel.est_zerocopy.cycles)
+        << name;
+    for (const gpusim::DeviceStats::Field& f :
+         gpusim::DeviceStats::Fields()) {
+      EXPECT_EQ(serial.est_unified.stats.*f.member,
+                parallel.est_unified.stats.*f.member)
+          << name << " " << f.name;
+      EXPECT_EQ(serial.est_zerocopy.stats.*f.member,
+                parallel.est_zerocopy.stats.*f.member)
+          << name << " " << f.name;
     }
   }
 }
@@ -238,51 +284,6 @@ TEST(AdaptivityAuditTest, PureRunsCarryRecordsWithoutPlans) {
     EXPECT_DOUBLE_EQ(rec.plan_cycles, 0.0);
     EXPECT_GT(rec.frontier_vertices, 0u);
   }
-}
-
-// --- ShadowPageLru unit behaviour ------------------------------------------
-
-TEST(ShadowPageLruTest, ZeroCapacityNeverCaches) {
-  gpusim::SimParams p = TestParams();
-  ShadowPageLru shadow(p, 0);
-  shadow.Access(0, 0, p.um_page_bytes);
-  shadow.Access(0, 0, p.um_page_bytes);
-  EXPECT_EQ(shadow.counters().um_page_faults, 2u);
-  EXPECT_EQ(shadow.counters().um_page_hits, 0u);
-  EXPECT_EQ(shadow.resident_pages(), 0u);
-}
-
-TEST(ShadowPageLruTest, LruEvictionCountsAndOrder) {
-  gpusim::SimParams p = TestParams();
-  ShadowPageLru shadow(p, 2);
-  shadow.Access(0, 0 * p.um_page_bytes, 8);  // page 0
-  shadow.Access(0, 1 * p.um_page_bytes, 8);  // page 1
-  shadow.Access(0, 0 * p.um_page_bytes, 8);  // hit, page 0 now MRU
-  shadow.Access(0, 2 * p.um_page_bytes, 8);  // evicts page 1 (LRU)
-  shadow.Access(0, 0 * p.um_page_bytes, 8);  // still resident: hit
-  shadow.Access(0, 1 * p.um_page_bytes, 8);  // fault again
-  EXPECT_EQ(shadow.counters().um_page_faults, 4u);
-  EXPECT_EQ(shadow.counters().um_page_hits, 2u);
-  EXPECT_EQ(shadow.counters().um_evictions, 2u);
-  EXPECT_EQ(shadow.counters().um_migrated_bytes, 4 * p.um_page_bytes);
-  EXPECT_EQ(shadow.resident_pages(), 2u);
-}
-
-TEST(ShadowPageLruTest, RegionDropsInvalidateResidency) {
-  gpusim::SimParams p = TestParams();
-  ShadowPageLru shadow(p, 8);
-  shadow.Access(0, 0, 3 * p.um_page_bytes);  // pages 0..2 of region 0
-  shadow.Access(1, 0, 2 * p.um_page_bytes);  // pages 0..1 of region 1
-  EXPECT_EQ(shadow.resident_pages(), 5u);
-  // Shrink region 0 to one page: pages 1..2 drop without eviction cost.
-  shadow.DropRegionTail(0, 3 * p.um_page_bytes, p.um_page_bytes);
-  EXPECT_EQ(shadow.resident_pages(), 3u);
-  shadow.DropRegion(1);
-  EXPECT_EQ(shadow.resident_pages(), 1u);
-  // Re-access of a dropped page faults again.
-  uint64_t faults = shadow.counters().um_page_faults;
-  shadow.Access(0, 2 * p.um_page_bytes, 8);
-  EXPECT_EQ(shadow.counters().um_page_faults, faults + 1);
 }
 
 // --- JSON export -----------------------------------------------------------

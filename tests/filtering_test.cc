@@ -73,21 +73,6 @@ TEST(FilteringTest, RemoveAllEmptiesTable) {
   EXPECT_EQ(t->num_embeddings(), 0u);
 }
 
-TEST(FilteringTest, WithoutCompressionTableKeepsRows) {
-  graph::Graph g = Toy();
-  gpusim::Device device(TestParams());
-  GammaOptions options;
-  options.filter.compress = false;
-  GammaEngine engine(&device, &g, options);
-  ASSERT_TRUE(engine.Prepare().ok());
-  auto t = PairsTable(&engine);
-  std::size_t before = t->num_embeddings();
-  FilterStats stats = engine.Filtering(
-      t.get(), [](std::span<const Unit> emb) { return emb[0] < emb[1]; });
-  EXPECT_EQ(stats.removed, before / 2);  // counted...
-  EXPECT_EQ(t->num_embeddings(), before);  // ...but not compacted
-}
-
 TEST(FilteringTest, PatternFilterDropsInvalidInstances) {
   graph::Graph g = Toy();
   gpusim::Device device(TestParams());

@@ -169,6 +169,58 @@ TEST(UnifiedMemoryTest, ShrinkInvalidatesStalePages) {
   EXPECT_FALSE(um.IsResident(region, 7 * p.um_page_bytes));
 }
 
+TEST(UnifiedMemoryTest, ZeroCapacityNeverCaches) {
+  SimParams p = SmallParams();
+  p.um_device_buffer_bytes = 0;
+  DeviceStats stats;
+  UnifiedMemory um(p, &stats);
+  auto region = um.Register(1 << 20);
+  um.Access(region, 0, p.um_page_bytes);
+  um.Access(region, 0, p.um_page_bytes);
+  EXPECT_EQ(stats.um_page_faults, 2u);
+  EXPECT_EQ(stats.um_page_hits, 0u);
+  EXPECT_EQ(stats.um_evictions, 0u);
+  EXPECT_EQ(um.resident_pages(), 0u);
+}
+
+TEST(UnifiedMemoryTest, DropsRemoveExactlyTheNamedPages) {
+  SimParams p = SmallParams();  // 16-page buffer
+  const std::size_t page = p.um_page_bytes;
+  DeviceStats stats;
+  UnifiedMemory um(p, &stats);
+  auto a = um.Register(3 * page);
+  auto b = um.Register(2 * page);
+  um.Access(a, 0, 3 * page);  // pages 0..2 of a
+  um.Access(b, 0, 2 * page);  // pages 0..1 of b
+  EXPECT_EQ(um.resident_pages(), 5u);
+
+  // Growing drops nothing; shrinking to 1.5 pages keeps the partial page.
+  um.DropPagesPast(a, page, 3 * page);
+  EXPECT_EQ(um.resident_pages(), 5u);
+  um.DropPagesPast(a, 3 * page, page + page / 2);
+  EXPECT_EQ(um.resident_pages(), 4u);
+  EXPECT_TRUE(um.IsResident(a, 0));
+  EXPECT_TRUE(um.IsResident(a, page));
+  EXPECT_FALSE(um.IsResident(a, 2 * page));
+  EXPECT_TRUE(um.IsResident(b, page));
+
+  um.InvalidateRegion(b);
+  EXPECT_EQ(um.resident_pages(), 2u);
+  EXPECT_FALSE(um.IsResident(b, 0));
+  EXPECT_FALSE(um.IsResident(b, page));
+  EXPECT_TRUE(um.IsResident(a, 0));
+  EXPECT_EQ(stats.um_evictions, 0u);  // a drop is not an eviction
+
+  // A dropped page faults again; a kept one still hits.
+  const uint64_t faults = stats.um_page_faults;
+  const uint64_t hits = stats.um_page_hits;
+  um.Access(a, 2 * page, 8);
+  um.Access(b, 0, 8);
+  um.Access(a, page, 8);
+  EXPECT_EQ(stats.um_page_faults, faults + 2);
+  EXPECT_EQ(stats.um_page_hits, hits + 1);
+}
+
 TEST(DeviceTest, UmBufferReservedAtConstruction) {
   Device device(SmallParams());
   EXPECT_EQ(device.memory().used_bytes(), SmallParams().um_device_buffer_bytes);
@@ -251,20 +303,6 @@ TEST(HostArrayTest, TracksHostMemory) {
   }
   EXPECT_EQ(device.host_tracker().current_bytes(), 0u);
   EXPECT_EQ(device.host_tracker().peak_bytes(), 4000u);
-}
-
-TEST(HostArrayTest, ReadReturnsLiveData) {
-  Device device(SmallParams());
-  HostArray<uint32_t> arr(&device);
-  arr.Assign({10, 20, 30, 40});
-  device.LaunchKernel(1, [&](WarpCtx& w, std::size_t) {
-    auto span = arr.Read(w, 1, 2, AccessMode::kZeroCopy);
-    EXPECT_EQ(span[0], 20u);
-    EXPECT_EQ(span[1], 30u);
-    EXPECT_EQ(arr.ReadOne(w, 3, AccessMode::kUnified), 40u);
-  });
-  EXPECT_GT(device.stats().zc_transactions, 0u);
-  EXPECT_GT(device.stats().um_page_faults, 0u);
 }
 
 // The kernel trace is a view over the command log's kernel records.

@@ -177,24 +177,6 @@ INSTANTIATE_TEST_SUITE_P(
 
 class InvariantTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(InvariantTest, CompressionPreservesEmbeddings) {
-  graph::Graph g = SampleGraph(GetParam());
-  // Run SM with and without table compression; counts must agree.
-  graph::Pattern q = graph::Pattern::SmQuery(2, g.num_labels());
-  uint64_t counts[2];
-  for (int compress = 0; compress < 2; ++compress) {
-    gpusim::Device device(TestParams());
-    core::GammaOptions options;
-    options.filter.compress = compress == 1;
-    core::GammaEngine engine(&device, &g, options);
-    ASSERT_TRUE(engine.Prepare().ok());
-    auto r = RunPlan(&engine, Woj(g, q));
-    ASSERT_TRUE(r.ok());
-    counts[compress] = r.value().embeddings;
-  }
-  EXPECT_EQ(counts[0], counts[1]);
-}
-
 TEST_P(InvariantTest, CliqueMonotoneInK) {
   graph::Graph g = SampleGraph(GetParam());
   gpusim::Device device(TestParams());
