@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <array>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -138,7 +139,8 @@ void Usage() {
       "                     (default 65536 events, 2^20 commands; overflow\n"
       "                     counted, not stored)\n"
       "  --metrics-interval N  metrics sampling interval in simulated\n"
-      "                     cycles (default 100000)\n"
+      "                     cycles (default 100000; 0 keeps only the\n"
+      "                     end-of-run sample)\n"
       "  --check[=LIST]     run under gpusim-check (the compute-sanitizer\n"
       "                     analog); LIST is a comma-separated subset of\n"
       "                     memcheck,initcheck,racecheck (default all).\n"
@@ -184,6 +186,11 @@ bool Parse(int argc, char** argv, CliOptions* o) {
       const auto [end, ec] =
           std::from_chars(v.data(), v.data() + v.size(), *out);
       if (ec != std::errc() || end != v.data() + v.size()) reject();
+    };
+    // A value that parsed but lies outside what the flag accepts.
+    auto out_of_range = [&](const char* want) {
+      std::fprintf(stderr, "%s wants %s\n", a.c_str(), want);
+      value_ok = false;
     };
     if (a == "--dataset") {
       o->dataset = next();
@@ -233,12 +240,10 @@ bool Parse(int argc, char** argv, CliOptions* o) {
       number(&o->device_mb);
     } else if (a == "--warps") {
       number(&o->warps);
+      if (value_ok && o->warps < 1) out_of_range("N >= 1");
     } else if (a == "--host-threads") {
       number(&o->host_threads);
-      if (o->host_threads < 1) {
-        std::fprintf(stderr, "--host-threads wants N >= 1\n");
-        return false;
-      }
+      if (value_ok && o->host_threads < 1) out_of_range("N >= 1");
     } else if (a == "--stats") {
       o->show_stats = true;
     } else if (a == "--trace") {
@@ -258,6 +263,10 @@ bool Parse(int argc, char** argv, CliOptions* o) {
       number(&o->trace_capacity);
     } else if (a == "--metrics-interval") {
       number(&o->metrics_interval);
+      if (value_ok && (!std::isfinite(o->metrics_interval) ||
+                       std::signbit(o->metrics_interval))) {
+        out_of_range("a finite N >= 0");
+      }
     } else if (a == "--check") {
       o->check = true;
     } else if (a.rfind("--check=", 0) == 0) {

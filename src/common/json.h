@@ -1,10 +1,13 @@
 #ifndef GAMMA_COMMON_JSON_H_
 #define GAMMA_COMMON_JSON_H_
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <ostream>
+#include <streambuf>
 #include <string_view>
 #include <type_traits>
 #include <vector>
@@ -18,10 +21,16 @@ namespace gpm {
 /// newlines, string escaping, and non-finite doubles (written as 0) are
 /// handled here. Used by the observability exports (DeviceStats /
 /// RunProfile), which must stay machine-readable.
+///
+/// Bytes go straight to the stream's buffer: numbers are formatted with
+/// `std::to_chars` (doubles as `%.17g` would print them), and each run of
+/// unescaped string bytes and each line break with its indent is one
+/// `sputn`. The stream's formatting flags are not consulted. A short
+/// write sets `badbit` on the stream.
 class JsonWriter {
  public:
   explicit JsonWriter(std::ostream& os, int indent_width = 2)
-      : os_(os), indent_width_(indent_width) {}
+      : os_(os), buf_(os.rdbuf()), indent_width_(indent_width) {}
 
   JsonWriter(const JsonWriter&) = delete;
   JsonWriter& operator=(const JsonWriter&) = delete;
@@ -46,7 +55,7 @@ class JsonWriter {
   JsonWriter& Key(std::string_view key) {
     Separate();
     WriteString(key);
-    os_ << ": ";
+    Put(": ");
     pending_value_ = true;
     return *this;
   }
@@ -56,7 +65,10 @@ class JsonWriter {
                              int> = 0>
   JsonWriter& Value(T v) {
     Separate();
-    os_ << +v;
+    char buf[24];
+    // Unary plus prints character types as numbers.
+    const char* end = std::to_chars(buf, buf + sizeof(buf), +v).ptr;
+    Put(std::string_view(buf, static_cast<std::size_t>(end - buf)));
     return *this;
   }
 
@@ -64,14 +76,16 @@ class JsonWriter {
     Separate();
     if (!std::isfinite(v)) v = 0.0;
     char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    os_ << buf;
+    const char* end = std::to_chars(buf, buf + sizeof(buf), v,
+                                    std::chars_format::general, 17)
+                          .ptr;
+    Put(std::string_view(buf, static_cast<std::size_t>(end - buf)));
     return *this;
   }
 
   JsonWriter& Value(bool v) {
     Separate();
-    os_ << (v ? "true" : "false");
+    Put(v ? "true" : "false");
     return *this;
   }
 
@@ -87,20 +101,25 @@ class JsonWriter {
     bool first = true;
   };
 
+  void Put(std::string_view s) {
+    const auto n = static_cast<std::streamsize>(s.size());
+    if (buf_ == nullptr || buf_->sputn(s.data(), n) != n) {
+      os_.setstate(std::ios_base::badbit);
+    }
+  }
+  void Put(char c) { Put(std::string_view(&c, 1)); }
+
   void Open(char c) {
     Separate();
-    os_ << c;
+    Put(c);
     levels_.push_back({});
   }
 
   void Close(char c) {
     bool empty = levels_.back().first;
     levels_.pop_back();
-    if (!empty) {
-      os_ << '\n';
-      Indent(levels_.size());
-    }
-    os_ << c;
+    if (!empty) Break(/*comma=*/false);
+    Put(c);
   }
 
   // Positions the stream for the next element: nothing after a Key, a
@@ -111,52 +130,64 @@ class JsonWriter {
       return;
     }
     if (levels_.empty()) return;
-    if (!levels_.back().first) os_ << ',';
+    const bool comma = !levels_.back().first;
     levels_.back().first = false;
-    os_ << '\n';
-    Indent(levels_.size());
+    Break(comma);
   }
 
-  void Indent(std::size_t depth) {
-    for (std::size_t i = 0; i < depth * static_cast<std::size_t>(indent_width_);
-         ++i) {
-      os_ << ' ';
+  // Writes an optional comma, a newline and the indent of the current
+  // depth; the indent is sliced from one constant line.
+  void Break(bool comma) {
+    static constexpr std::string_view kLine =
+        ",\n                                                              ";
+    constexpr std::size_t kMaxSpaces = kLine.size() - 2;
+    std::size_t spaces =
+        levels_.size() * static_cast<std::size_t>(indent_width_);
+    std::size_t take = std::min(spaces, kMaxSpaces);
+    Put(kLine.substr(comma ? 0 : 1, (comma ? 2 : 1) + take));
+    for (spaces -= take; spaces > 0; spaces -= take) {
+      take = std::min(spaces, kMaxSpaces);
+      Put(kLine.substr(2, take));
     }
   }
 
   void WriteString(std::string_view s) {
-    os_ << '"';
-    for (char c : s) {
+    Put('"');
+    std::size_t run = 0;  // start of the pending unescaped bytes
+    for (std::size_t i = 0; i < s.size(); ++i) {
+      const auto c = static_cast<unsigned char>(s[i]);
+      if (c >= 0x20 && c != '"' && c != '\\') continue;
+      Put(s.substr(run, i - run));
+      run = i + 1;
       switch (c) {
         case '"':
-          os_ << "\\\"";
+          Put("\\\"");
           break;
         case '\\':
-          os_ << "\\\\";
+          Put("\\\\");
           break;
         case '\n':
-          os_ << "\\n";
+          Put("\\n");
           break;
         case '\r':
-          os_ << "\\r";
+          Put("\\r");
           break;
         case '\t':
-          os_ << "\\t";
+          Put("\\t");
           break;
-        default:
-          if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-            os_ << buf;
-          } else {
-            os_ << c;
-          }
+        default: {
+          static constexpr char kHex[] = "0123456789abcdef";
+          const char esc[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 15]};
+          Put(std::string_view(esc, sizeof(esc)));
+        }
       }
     }
-    os_ << '"';
+    Put(s.substr(run));
+    Put('"');
   }
 
   std::ostream& os_;
+  std::streambuf* buf_;
   int indent_width_;
   std::vector<Level> levels_;
   bool pending_value_ = false;

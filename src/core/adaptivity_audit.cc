@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "common/json.h"
 
@@ -248,7 +249,7 @@ std::string AdaptivityAudit::ToJson() {
 
   w.EndObject();
   os << '\n';
-  return os.str();
+  return std::move(os).str();
 }
 
 }  // namespace gpm::core

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "common/json.h"
 #include "common/logging.h"
@@ -237,7 +238,7 @@ std::string CompiledPlan::ToJson() const {
   w.Key("estimated_cost").Value(estimated_cost);
   w.EndObject();
   os << "\n";
-  return os.str();
+  return std::move(os).str();
 }
 
 Result<CompiledPlan> PatternCompiler::CompileMatch(

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <sstream>
+#include <utility>
 
 #include "common/json.h"
 #include "common/logging.h"
@@ -311,7 +312,7 @@ std::string PlanProfiler::ToJson() const {
   w.EndObject();
   w.EndObject();
   os << "\n";
-  return os.str();
+  return std::move(os).str();
 }
 
 }  // namespace gpm::core

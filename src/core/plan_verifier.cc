@@ -797,7 +797,7 @@ std::string VerifyReport::ToJson() const {
   w.EndArray();
   w.EndObject();
   os << "\n";
-  return os.str();
+  return std::move(os).str();
 }
 
 std::string VerifyReport::ReportText() const {

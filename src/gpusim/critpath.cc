@@ -909,7 +909,7 @@ std::string CritpathReport::ToJson() const {
 
   w.EndObject();
   os << '\n';
-  return os.str();
+  return std::move(os).str();
 }
 
 }  // namespace gpm::prof

@@ -1,6 +1,7 @@
 #include "gpusim/metrics.h"
 
 #include <sstream>
+#include <utility>
 
 #include "common/json.h"
 #include "gpusim/device.h"
@@ -84,7 +85,7 @@ std::string MetricsSampler::ToJson(const Device& device) const {
 
   w.EndObject();
   os << '\n';
-  return os.str();
+  return std::move(os).str();
 }
 
 }  // namespace gpm::gpusim

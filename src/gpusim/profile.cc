@@ -1,6 +1,7 @@
 #include "gpusim/profile.h"
 
 #include <sstream>
+#include <utility>
 
 #include "common/json.h"
 #include "gpusim/device.h"
@@ -90,7 +91,7 @@ std::string RunProfile::ToJson(const Device& device) const {
 
   w.EndObject();
   os << '\n';
-  return os.str();
+  return std::move(os).str();
 }
 
 PhaseScope::PhaseScope(Device* device, std::string name)

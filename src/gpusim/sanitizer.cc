@@ -546,7 +546,7 @@ std::string Sanitizer::ToJson() const {
   w.EndArray();
   w.EndObject();
   os << '\n';
-  return os.str();
+  return std::move(os).str();
 }
 
 SanitizerScratch::SanitizerScratch(Device* device, std::string label,

@@ -1,6 +1,7 @@
 #include "gpusim/stats.h"
 
 #include <sstream>
+#include <utility>
 
 #include "common/json.h"
 
@@ -46,7 +47,7 @@ std::string StatsJson(const DeviceStats& stats) {
     w.Key(f.name).Value(stats.*f.member);
   }
   w.EndObject();
-  return os.str();
+  return std::move(os).str();
 }
 
 std::string DeviceStats::ToString() const {

@@ -246,7 +246,7 @@ std::string TraceRecorder::ToChromeTraceJson(const SimParams& params) const {
   w.EndArray();
   w.EndObject();
   os << '\n';
-  return os.str();
+  return std::move(os).str();
 }
 
 }  // namespace gpm::gpusim

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <unordered_map>
 #include <vector>
 
@@ -110,15 +109,41 @@ class UnifiedMemory {
   /// True when the page holding `offset` is resident in the device buffer.
   bool IsResident(RegionId region, std::size_t offset) const;
 
-  std::size_t resident_pages() const { return lru_.size(); }
+  std::size_t resident_pages() const { return size_; }
   std::size_t capacity_pages() const { return capacity_pages_; }
 
  private:
+  static constexpr uint32_t kNil = UINT32_MAX;
+
+  // One resident page: its key and its neighbours in LRU order (a freed
+  // node links the free list through `next`).
+  struct Node {
+    uint64_t key = 0;
+    uint32_t prev = kNil;
+    uint32_t next = kNil;
+  };
+
+  // One open-addressed index slot; `node == kNil` marks it empty.
+  struct Slot {
+    uint64_t key = 0;
+    uint32_t node = kNil;
+  };
+
   // Region id in the top 16 bits, page number in the low 48.
   static uint64_t PageKey(RegionId region, uint64_t page) {
     return (static_cast<uint64_t>(region) << 48) | page;
   }
 
+  // The node of a resident page, or kNil.
+  uint32_t Find(uint64_t key) const;
+  std::size_t HomeSlot(uint64_t key) const;
+  void IndexInsert(uint64_t key, uint32_t node);
+  void IndexErase(uint64_t key);
+  void Unlink(uint32_t node);
+  void PushFront(uint32_t node);
+  void MoveToFront(uint32_t node);
+  // Unlinks, unindexes and frees a resident page's node.
+  void Remove(uint32_t node);
   void InsertPage(uint64_t key);
 
   const SimParams& params_;
@@ -131,9 +156,17 @@ class UnifiedMemory {
   RegionId next_region_ = 1;
   std::unordered_map<RegionId, std::size_t> region_bytes_;
 
-  // LRU over resident pages: front = most recent.
-  std::list<uint64_t> lru_;
-  std::unordered_map<uint64_t, std::list<uint64_t>::iterator> resident_;
+  // LRU over resident pages, linked by index through `nodes_`: head_ is
+  // the most recent, tail_ the next victim. `slots_` maps page keys to
+  // nodes by linear probing, at most half full, with a power-of-two size.
+  // Both grow with the resident set, never ahead of it.
+  std::vector<Node> nodes_;
+  std::vector<Slot> slots_;
+  uint32_t head_ = kNil;
+  uint32_t tail_ = kNil;
+  uint32_t free_ = kNil;
+  std::size_t size_ = 0;
+  int slot_shift_ = 64;  // 64 - log2(slots_.size())
 };
 
 }  // namespace gpm::gpusim

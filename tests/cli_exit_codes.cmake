@@ -32,6 +32,15 @@ expect_exit(1 "--k: missing or malformed value" --k)
 expect_exit(1 "unknown option: --trace-out" --trace-out x.json)
 expect_exit(1 "--observe: missing or malformed value" --observe)
 expect_exit(1 "--observe: missing or malformed value" --observe bogus)
+expect_exit(1 "--warps wants N >= 1" --warps 0)
+expect_exit(1 "--warps wants N >= 1" --warps -3)
+expect_exit(1 "--host-threads wants N >= 1" --host-threads 0)
+expect_exit(1 "--metrics-interval wants a finite N >= 0" --metrics-interval -5)
+expect_exit(1 "--metrics-interval wants a finite N >= 0"
+            --metrics-interval nan)
+expect_exit(1 "--metrics-interval wants a finite N >= 0"
+            --metrics-interval inf)
+expect_exit(0 "" --task kcl --k 3 --metrics-interval 0)
 
 set(names plan profile trace critpath metrics adaptivity planprof check)
 string(REPLACE ";" "," list "${names}")

@@ -1,10 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <list>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
+#include "common/random.h"
 #include "gpusim/device.h"
 #include "gpusim/host_array.h"
 #include "gpusim/profile.h"
+#include "gpusim/trace.h"
 
 namespace gpm::gpusim {
 namespace {
@@ -219,6 +226,248 @@ TEST(UnifiedMemoryTest, DropsRemoveExactlyTheNamedPages) {
   um.Access(a, page, 8);
   EXPECT_EQ(stats.um_page_faults, faults + 2);
   EXPECT_EQ(stats.um_page_hits, hits + 1);
+}
+
+// The page buffer as a std::list LRU indexed by an unordered_map, the way
+// UnifiedMemory kept it before its flat layout. The differential test
+// holds UnifiedMemory to this model: same charges, counters, residency
+// and page-event order.
+class ListLruReference {
+ public:
+  ListLruReference(const SimParams& params, DeviceStats* stats,
+                   TraceRecorder* trace, const double* now_cycles)
+      : params_(params),
+        stats_(stats),
+        trace_(trace),
+        now_cycles_(now_cycles),
+        capacity_pages_(params.um_device_buffer_bytes / params.um_page_bytes) {
+  }
+
+  void DropPagesPast(uint32_t region, std::size_t old_bytes,
+                     std::size_t new_bytes) {
+    if (new_bytes >= old_bytes) return;
+    uint64_t first_stale =
+        (new_bytes + params_.um_page_bytes - 1) / params_.um_page_bytes;
+    uint64_t last = old_bytes / params_.um_page_bytes;
+    for (uint64_t p = first_stale; p <= last; ++p) {
+      auto it = resident_.find(PageKey(region, p));
+      if (it != resident_.end()) {
+        lru_.erase(it->second);
+        resident_.erase(it);
+      }
+    }
+  }
+
+  std::size_t PrefetchPage(uint32_t region, std::size_t offset) {
+    uint64_t page = offset / params_.um_page_bytes;
+    uint64_t key = PageKey(region, page);
+    if (auto it = resident_.find(key); it != resident_.end()) {
+      lru_.splice(lru_.begin(), lru_, it->second);
+      return 0;
+    }
+    InsertPage(key);
+    stats_->um_migrated_bytes += params_.um_page_bytes;
+    Trace(TraceRecorder::Kind::kUmPrefetch, region, page);
+    return params_.um_page_bytes;
+  }
+
+  void InvalidateRegion(uint32_t region) {
+    for (auto it = resident_.begin(); it != resident_.end();) {
+      if ((it->first >> 48) == region) {
+        lru_.erase(it->second);
+        it = resident_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+
+  bool IsResident(uint32_t region, std::size_t offset) const {
+    return resident_.count(PageKey(region, offset / params_.um_page_bytes)) >
+           0;
+  }
+
+  std::size_t resident_pages() const { return lru_.size(); }
+
+  AccessCharge Access(uint32_t region, std::size_t offset,
+                      std::size_t bytes) {
+    AccessCharge charge;
+    if (bytes == 0) return charge;
+    const std::size_t page_bytes = params_.um_page_bytes;
+    uint64_t first_page = offset / page_bytes;
+    uint64_t last_page = (offset + bytes - 1) / page_bytes;
+    for (uint64_t p = first_page; p <= last_page; ++p) {
+      uint64_t key = PageKey(region, p);
+      std::size_t lo = std::max<std::size_t>(offset, p * page_bytes);
+      std::size_t hi =
+          std::min<std::size_t>(offset + bytes, (p + 1) * page_bytes);
+      std::size_t span = hi - lo;
+      auto it = resident_.find(key);
+      if (it != resident_.end()) {
+        ++stats_->um_page_hits;
+        charge.cycles += params_.device_mem_latency_cycles +
+                         static_cast<double>(span) /
+                             params_.device_bytes_per_cycle;
+        charge.hit_cycles += params_.device_mem_latency_cycles +
+                             static_cast<double>(span) /
+                                 params_.device_bytes_per_cycle;
+        lru_.splice(lru_.begin(), lru_, it->second);
+        Trace(TraceRecorder::Kind::kUmHit, region, p);
+      } else {
+        ++stats_->um_page_faults;
+        stats_->um_migrated_bytes += page_bytes;
+        charge.cycles += params_.page_fault_cycles +
+                         static_cast<double>(page_bytes) /
+                             params_.pcie_bytes_per_cycle;
+        charge.fault_cycles += params_.page_fault_cycles +
+                               static_cast<double>(page_bytes) /
+                                   params_.pcie_bytes_per_cycle;
+        charge.pcie_bytes += page_bytes;
+        Trace(TraceRecorder::Kind::kUmFault, region, p);
+        InsertPage(key);
+      }
+    }
+    return charge;
+  }
+
+ private:
+  static uint64_t PageKey(uint32_t region, uint64_t page) {
+    return (static_cast<uint64_t>(region) << 48) | page;
+  }
+
+  void Trace(TraceRecorder::Kind kind, uint32_t region, uint64_t page) {
+    trace_->RecordUmEvent(kind, *now_cycles_, region, page);
+  }
+
+  void InsertPage(uint64_t key) {
+    if (capacity_pages_ == 0) return;
+    while (lru_.size() >= capacity_pages_) {
+      uint64_t victim = lru_.back();
+      resident_.erase(victim);
+      lru_.pop_back();
+      ++stats_->um_evictions;
+      Trace(TraceRecorder::Kind::kUmEviction,
+            static_cast<uint32_t>(victim >> 48),
+            victim & ((uint64_t{1} << 48) - 1));
+    }
+    lru_.push_front(key);
+    resident_.emplace(key, lru_.begin());
+  }
+
+  const SimParams& params_;
+  DeviceStats* stats_;
+  TraceRecorder* trace_;
+  const double* now_cycles_;
+  const std::size_t capacity_pages_;
+  std::list<uint64_t> lru_;
+  std::unordered_map<uint64_t, std::list<uint64_t>::iterator> resident_;
+};
+
+void ExpectSameCharge(const AccessCharge& got, const AccessCharge& want,
+                      int op) {
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.cycles),
+            std::bit_cast<uint64_t>(want.cycles))
+      << "op " << op;
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.hit_cycles),
+            std::bit_cast<uint64_t>(want.hit_cycles))
+      << "op " << op;
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.fault_cycles),
+            std::bit_cast<uint64_t>(want.fault_cycles))
+      << "op " << op;
+  EXPECT_EQ(got.pcie_bytes, want.pcie_bytes) << "op " << op;
+}
+
+// Seeded random streams over three regions: page-spanning accesses,
+// prefetches, resizes that grow and shrink, direct drops over ranges that
+// may reach past the region, and invalidations.
+TEST(UnifiedMemoryTest, FlatBufferMatchesListLru) {
+  constexpr int kOps = 6000;
+  constexpr uint64_t kMaxRegionPages = 48;
+  for (std::size_t capacity : {0u, 1u, 2u, 16u, 64u}) {
+    for (uint64_t seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE(testing::Message()
+                   << "capacity " << capacity << " pages, seed " << seed);
+      SimParams p;
+      p.um_device_buffer_bytes = capacity * p.um_page_bytes;
+      const std::size_t page = p.um_page_bytes;
+      double now = 0;
+      DeviceStats got_stats, want_stats;
+      TraceRecorder got_trace(1u << 22), want_trace(1u << 22);
+      got_trace.set_enabled(true);
+      want_trace.set_enabled(true);
+      UnifiedMemory um(p, &got_stats);
+      um.BindTrace(&got_trace, &now);
+      ListLruReference ref(p, &want_stats, &want_trace, &now);
+      ASSERT_EQ(um.capacity_pages(), capacity);
+
+      Rng rng(seed);
+      std::vector<UnifiedMemory::RegionId> regions;
+      std::vector<std::size_t> sizes;
+      for (int r = 0; r < 3; ++r) {
+        sizes.push_back((8 + rng.NextBounded(kMaxRegionPages - 8)) * page);
+        regions.push_back(um.Register(sizes.back()));
+      }
+      for (int op = 0; op < kOps; ++op) {
+        now = op;
+        const std::size_t r = rng.NextBounded(regions.size());
+        const UnifiedMemory::RegionId region = regions[r];
+        const std::size_t size = sizes[r];
+        const uint64_t kind = rng.NextBounded(100);
+        if (kind < 70) {
+          if (size == 0) continue;
+          const std::size_t offset = rng.NextBounded(size);
+          const std::size_t bytes =
+              rng.NextBounded(std::min(size - offset, 3 * page) + 1);
+          ExpectSameCharge(um.Access(region, offset, bytes),
+                           ref.Access(region, offset, bytes), op);
+        } else if (kind < 80) {
+          const std::size_t offset = rng.NextBounded(size + 1);
+          EXPECT_EQ(um.PrefetchPage(region, offset),
+                    ref.PrefetchPage(region, offset))
+              << "op " << op;
+        } else if (kind < 90) {
+          const std::size_t new_size =
+              rng.NextBounded(kMaxRegionPages * page + 1);
+          um.ResizeRegion(region, new_size);
+          ref.DropPagesPast(region, size, new_size);
+          sizes[r] = new_size;
+        } else if (kind < 97) {
+          const std::size_t old_bytes = rng.NextBounded(200 * page);
+          const std::size_t new_bytes = rng.NextBounded(200 * page);
+          um.DropPagesPast(region, old_bytes, new_bytes);
+          ref.DropPagesPast(region, old_bytes, new_bytes);
+        } else {
+          um.InvalidateRegion(region);
+          ref.InvalidateRegion(region);
+        }
+        ASSERT_EQ(um.resident_pages(), ref.resident_pages()) << "op " << op;
+        ASSERT_LE(um.resident_pages(), capacity);
+      }
+
+      for (const auto& field : DeviceStats::Fields()) {
+        EXPECT_EQ(got_stats.*field.member, want_stats.*field.member)
+            << field.name;
+      }
+      for (UnifiedMemory::RegionId region : regions) {
+        for (uint64_t pg = 0; pg <= 200; ++pg) {
+          EXPECT_EQ(um.IsResident(region, pg * page),
+                    ref.IsResident(region, pg * page))
+              << "region " << region << " page " << pg;
+        }
+      }
+      ASSERT_EQ(got_trace.dropped_events(), 0u);
+      ASSERT_EQ(got_trace.events().size(), want_trace.events().size());
+      for (std::size_t i = 0; i < got_trace.events().size(); ++i) {
+        const auto& a = got_trace.events()[i];
+        const auto& b = want_trace.events()[i];
+        ASSERT_TRUE(a.kind == b.kind && a.region == b.region &&
+                    a.page == b.page && a.begin_cycles == b.begin_cycles)
+            << "event " << i << ": " << TraceKindName(a.kind) << " "
+            << a.region << ":" << a.page << " vs " << TraceKindName(b.kind)
+            << " " << b.region << ":" << b.page;
+      }
+    }
+  }
 }
 
 TEST(DeviceTest, UmBufferReservedAtConstruction) {
