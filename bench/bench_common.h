@@ -3,6 +3,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -472,9 +473,15 @@ inline int Main(int argc, char** argv) {
     } else if (arg == "--planprof=on") {
       BenchPlanProf() = true;
     } else if (arg.rfind("--host-threads=", 0) == 0) {
-      int threads = std::atoi(arg.c_str() + 15);
-      if (threads < 1) {
-        std::fprintf(stderr, "--host-threads wants a positive integer\n");
+      // The whole value must parse, and every Device starts N - 1 threads.
+      const char* value = arg.c_str() + 15;
+      const char* end = arg.c_str() + arg.size();
+      int threads = 0;
+      const auto [stop, ec] = std::from_chars(value, end, threads);
+      if (ec != std::errc() || stop != end || threads < 1 ||
+          threads > gpusim::kMaxHostThreads) {
+        std::fprintf(stderr, "--host-threads wants an integer in [1, %d]\n",
+                     gpusim::kMaxHostThreads);
         return 1;
       }
       BenchHostThreads() = threads;

@@ -12,6 +12,7 @@
 #include <array>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -82,6 +83,9 @@ struct CliOptions {
   std::string check_list;  // empty = all checkers
 };
 
+static_assert(gpusim::kMaxHostThreads == 256,
+              "Usage() names the --host-threads cap");
+
 void Usage() {
   std::puts(
       "usage: gamma_cli [options]\n"
@@ -127,12 +131,14 @@ void Usage() {
       "  --extension-chunk-rows N  embedding rows per extension kernel\n"
       "                     (out-of-core chunk size; default 65536)\n"
       "  --symmetric        SM with automorphism symmetry breaking\n"
-      "  --device-mb N      simulated device memory (default 16)\n"
+      "  --device-mb N      simulated device memory in MiB (default 16;\n"
+      "                     below 2^44)\n"
       "  --warps N          resident warp slots (default 64)\n"
-      "  --host-threads N   host threads executing warp tasks (default 1;\n"
-      "                     > 1 runs task functions on a thread pool and\n"
-      "                     replays their side effects in task order, so\n"
-      "                     all simulated output stays bit-identical)\n"
+      "  --host-threads N   host threads executing warp tasks (default 1,\n"
+      "                     at most 256; > 1 records task functions on a\n"
+      "                     thread pool while replaying their side effects\n"
+      "                     in task order, so all simulated output stays\n"
+      "                     bit-identical)\n"
       "  --stats            print hardware counters\n"
       "  --trace            print per-kernel cycle breakdown\n"
       "  --trace-capacity N cap buffered trace events / timeline commands\n"
@@ -238,12 +244,21 @@ bool Parse(int argc, char** argv, CliOptions* o) {
       o->symmetric = true;
     } else if (a == "--device-mb") {
       number(&o->device_mb);
+      // device_mb << 20 must not wrap around to a tiny device.
+      if (value_ok && o->device_mb > (SIZE_MAX >> 20)) {
+        out_of_range("N < 2^44");
+      }
     } else if (a == "--warps") {
       number(&o->warps);
       if (value_ok && o->warps < 1) out_of_range("N >= 1");
     } else if (a == "--host-threads") {
       number(&o->host_threads);
       if (value_ok && o->host_threads < 1) out_of_range("N >= 1");
+      // Every Device starts N - 1 threads.
+      if (value_ok && o->host_threads > gpusim::kMaxHostThreads) {
+        out_of_range(
+            ("N <= " + std::to_string(gpusim::kMaxHostThreads)).c_str());
+      }
     } else if (a == "--stats") {
       o->show_stats = true;
     } else if (a == "--trace") {

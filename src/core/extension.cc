@@ -151,9 +151,23 @@ Result<ExtensionStats> RunExtension(
     if (!reserve.ok()) return reserve;
   }
 
-  std::vector<Unit> new_units;
-  std::vector<RowIndex> new_parents;
-  std::vector<Emit> emitted;
+  // The column this extension appends to the table.
+  struct {
+    std::vector<Unit> units;
+    std::vector<RowIndex> parents;
+  } column;
+  // Appends one task's emits to the column and frees them. Deferred, so the
+  // appends land in task order (the serial schedule) at any thread count,
+  // during the launch's replay rather than after it.
+  auto append = [&column](gpusim::WarpCtx& w, std::vector<Emit>* emits) {
+    w.Defer([&column, emits](gpusim::WarpCtx&) {
+      for (const Emit& e : *emits) {
+        column.units.push_back(e.unit);
+        column.parents.push_back(e.parent);
+      }
+      std::vector<Emit>().swap(*emits);
+    });
+  };
 
   // Completion events for each buffer half's flush: chunk i must not start
   // writing into half (i % 2) before chunk i-2's flush of that half has
@@ -189,7 +203,7 @@ Result<ExtensionStats> RunExtension(
       device->WaitEvent(compute_stream, flush_done[half]);
     }
 
-    emitted.clear();
+    const std::size_t chunk_first_row = column.units.size();
     std::size_t chunk_results = 0;
 
     if (count_only) {
@@ -224,9 +238,9 @@ Result<ExtensionStats> RunExtension(
         std::vector<MemoryPool::WarpCursor> cursors(
             std::max(1, device->params().num_warp_slots));
         // Task-local accumulation: every task owns its tally slot and emit
-        // buffer; the pool write defers its own shared-state bookkeeping
-        // when recording. Reduction and the ordered emit merge (ascending
-        // task id = the serial schedule) happen after the launch.
+        // buffer; the pool write and the column append defer their
+        // shared-state updates when recording. The tallies are reduced
+        // after the launch.
         std::vector<std::size_t> task_candidates(chunk_tasks, 0);
         std::vector<std::vector<Emit>> task_emits(chunk_tasks);
         stats.kernel_cycles += device->LaunchKernelAsync(
@@ -237,15 +251,14 @@ Result<ExtensionStats> RunExtension(
               task_candidates[i] = generate(w, task.lo, task.hi, &local);
               pool.WarpWrite(w, &cursors[i % cursors.size()], local.size(),
                              kEntryBytes);
+              append(w, &local);
             },
             "extension-dynamic");
         for (std::size_t i = 0; i < chunk_tasks; ++i) {
           stats.candidates += task_candidates[i];
-          emitted.insert(emitted.end(), task_emits[i].begin(),
-                         task_emits[i].end());
         }
         for (auto& cursor : cursors) pool.EndWarpTask(&cursor);
-        chunk_results = emitted.size();
+        chunk_results = column.units.size() - chunk_first_row;
         if (async) {
           // The flush reads what the kernel wrote: order it after the
           // compute stream's position, then drain on the copy stream.
@@ -289,13 +302,10 @@ Result<ExtensionStats> RunExtension(
               std::vector<Emit>& local = task_emits[i];
               generate(w, task.lo, task.hi, &local);
               w.DeviceWrite(local.size() * kEntryBytes);
+              append(w, &local);
             },
             "extension-write");
-        for (std::size_t i = 0; i < chunk_tasks; ++i) {
-          emitted.insert(emitted.end(), task_emits[i].begin(),
-                         task_emits[i].end());
-        }
-        chunk_results = emitted.size();
+        chunk_results = column.units.size() - chunk_first_row;
         if (async) {
           device->WaitEvent(copy_stream, device->RecordEvent(compute_stream));
         }
@@ -315,14 +325,13 @@ Result<ExtensionStats> RunExtension(
               // Scattered writes into the worst-case slots.
               w.DeviceWrite(local.size() * kEntryBytes);
               w.DeviceWrite((task.hi - task.lo) * sizeof(uint32_t));
+              append(w, &local);
             },
             "extension-prealloc");
         for (std::size_t i = 0; i < chunk_tasks; ++i) {
           stats.candidates += task_candidates[i];
-          emitted.insert(emitted.end(), task_emits[i].begin(),
-                         task_emits[i].end());
         }
-        chunk_results = emitted.size();
+        chunk_results = column.units.size() - chunk_first_row;
         // Combine step: compact the sparse buffer. Bandwidth is paid over
         // the whole preallocated span — that is the cost of overestimation.
         std::size_t alloc_entries =
@@ -348,12 +357,6 @@ Result<ExtensionStats> RunExtension(
       }
     }
 
-    new_units.reserve(new_units.size() + emitted.size());
-    new_parents.reserve(new_parents.size() + emitted.size());
-    for (const Emit& e : emitted) {
-      new_units.push_back(e.unit);
-      new_parents.push_back(e.parent);
-    }
     stats.results += chunk_results;
     // Host-side append of the flushed results into the new column follows
     // the flush — it lives on the copy stream, off the compute stream's
@@ -369,9 +372,13 @@ Result<ExtensionStats> RunExtension(
   }
 
   if (!count_only) {
-    Status append =
-        table->AppendColumn(std::move(new_units), std::move(new_parents));
-    if (!append.ok()) return append;
+    // The table keeps the column for the rest of the run: drop the slack
+    // the appends' geometric growth left, which can stay resident.
+    column.units.shrink_to_fit();
+    column.parents.shrink_to_fit();
+    Status appended = table->AppendColumn(std::move(column.units),
+                                          std::move(column.parents));
+    if (!appended.ok()) return appended;
   }
   return stats;
 }

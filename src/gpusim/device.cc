@@ -18,10 +18,12 @@ Device::Device(SimParams params)
   // Device behind a helper (benches) can opt in without plumbing calls.
   if (params_.record_commands) critpath_.set_enabled(true);
   if (params_.record_timeline) trace_recorder_.set_enabled(true);
-  // host_threads is a wall-clock knob only: the pool runs kernel record
-  // phases, and ordered replay keeps results bit-identical to serial.
+  // host_threads is a wall-clock knob only: the pool records warp tasks
+  // into a window of log slots while this thread replays them in task
+  // order, which keeps results bit-identical to serial.
   if (params_.host_threads > 1) {
     executor_ = std::make_unique<HostExecutor>(params_.host_threads);
+    task_logs_.resize(executor_->window());
   }
   // The unified-memory page buffer is carved out of device memory so that
   // in-core data structures compete with it for space, like on real

@@ -192,10 +192,6 @@ class Device {
   /// on every invocation.
   StreamId WorkerStream(int i);
 
-  /// The host thread pool running kernel record phases, or nullptr when
-  /// `SimParams::host_threads` <= 1 (serial execution).
-  HostExecutor* host_executor() const { return executor_.get(); }
-
   /// When the stream's last command finished (its clock).
   double stream_cycles(StreamId stream) const {
     return streams_.cycles(stream);
@@ -368,30 +364,9 @@ class Device {
     double task_max = 0.0;
     double task_total = 0.0;
     std::size_t launch_pcie_bytes = 0;
-    // With a host executor, kernel execution is two-phase: first every task
-    // function runs on the thread pool with a *recording* context (charges
-    // append to a private log; shared simulator state is untouched), then
-    // this thread replays the logs in ascending task order through the
-    // immediate-mode charge implementations. Identical functions applied to
-    // identical state in the serial order make every simulated quantity —
-    // stats, doubles, UM pages, traces, sanitizer epochs — bit-identical to
-    // a serial run, whatever schedule the pool picked.
-    const bool parallel = executor_ != nullptr && num_tasks > 1;
-    std::vector<WarpTaskLog> logs;
-    if (parallel) {
-      logs.resize(num_tasks);
-      executor_->ParallelFor(num_tasks, [this, &logs, &fn](std::size_t t) {
-        WarpCtx warp(this, t, &logs[t]);
-        fn(warp, t);
-      });
-    }
-    for (std::size_t t = 0; t < num_tasks; ++t) {
-      WarpCtx warp(this, t);
-      if (parallel) {
-        warp.Replay(logs[t]);
-      } else {
-        fn(warp, t);
-      }
+    // One task's accounting, in task order: its PCIe bytes, its place on
+    // the slot heap, its resource-class split and its slot run.
+    auto account = [&](const WarpCtx& warp) {
       launch_pcie_bytes += warp.pcie_bytes();
       auto [start, slot] = finish.top();
       finish.pop();
@@ -412,6 +387,39 @@ class Device {
         } else {
           runs.push_back({start, end});
         }
+      }
+    };
+    if (executor_ != nullptr && num_tasks > 1) {
+      // Record/replay: task functions run on the pool with a *recording*
+      // context (charges append to the log in slot t % window; shared
+      // simulator state is untouched), while this thread replays each log
+      // in ascending task order through the immediate-mode charges as soon
+      // as it is recorded. Identical functions applied to identical state
+      // in the serial order make every simulated quantity (stats, doubles,
+      // UM pages, traces, sanitizer epochs) bit-identical to a serial run,
+      // whatever schedule the pool picked. Recording overlaps the replay
+      // of earlier tasks, so a task function must read no state replay
+      // writes.
+      executor_->OrderedFor(
+          num_tasks,
+          [this, &fn](std::size_t t) {
+            WarpCtx warp(this, t, &task_logs_[t % task_logs_.size()]);
+            fn(warp, t);
+          },
+          [this, &account](std::size_t t) {
+            WarpTaskLog& log = task_logs_[t % task_logs_.size()];
+            WarpCtx warp(this, t);
+            warp.Replay(log);
+            // The slot keeps its capacity for the task that reuses it.
+            log.ops.clear();
+            log.callbacks.clear();
+            account(warp);
+          });
+    } else {
+      for (std::size_t t = 0; t < num_tasks; ++t) {
+        WarpCtx warp(this, t);
+        fn(warp, t);
+        account(warp);
       }
     }
     if (sanitizer_ != nullptr) sanitizer_->EndKernel();
@@ -511,7 +519,10 @@ class Device {
   TraceRecorder trace_recorder_;
   MetricsSampler metrics_;
   DeviceBuffer um_buffer_reservation_;
+  // Record/replay for host_threads > 1: the pool and its window of task
+  // log slots, reused across tasks and launches.
   std::unique_ptr<HostExecutor> executor_;
+  std::vector<WarpTaskLog> task_logs_;
   std::unique_ptr<Sanitizer> sanitizer_;
   AccessObserver* access_observer_ = nullptr;
   AdaptivityGauges adaptivity_gauges_;

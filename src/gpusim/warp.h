@@ -18,11 +18,12 @@ class WarpCtx;
 
 /// One recorded side effect of a warp task. When a kernel executes its task
 /// functions on the host thread pool, every charge is appended here instead
-/// of touching simulator state; the launching thread then replays the logs
-/// in ascending task order through the exact immediate-mode implementations,
-/// so DeviceStats, cycle arithmetic (double addition is not associative —
-/// ops are never coalesced), UM page state, traces, and sanitizer findings
-/// are bit-identical to the serial schedule.
+/// of touching simulator state; the launching thread replays each log, in
+/// ascending task order and while later tasks still record, through the
+/// exact immediate-mode implementations, so DeviceStats, cycle arithmetic
+/// (double addition is not associative — ops are never coalesced), UM page
+/// state, traces, and sanitizer findings are bit-identical to the serial
+/// schedule.
 struct WarpOp {
   enum Kind : uint8_t {
     kChargeCompute,   // d = cycles
@@ -46,7 +47,9 @@ struct WarpOp {
 };
 
 /// The ordered side-effect log of one warp task: typed charges plus deferred
-/// host callbacks (`WarpCtx::Defer`) interleaved in call order.
+/// host callbacks (`WarpCtx::Defer`) interleaved in call order. A Device
+/// keeps one log per slot of its executor's window and clears each after
+/// replay, so the vectors' capacity is reused across tasks and launches.
 struct WarpTaskLog {
   std::vector<WarpOp> ops;
   std::vector<std::function<void(WarpCtx&)>> callbacks;
@@ -67,7 +70,9 @@ struct WarpTaskLog {
 /// mutate host state the context cannot see route it through `Defer`, which
 /// preserves the same record-then-ordered-replay discipline. While
 /// recording, `cycles()` and `pcie_bytes()` stay 0 — kernels must not
-/// branch on them mid-task.
+/// branch on them mid-task. Recording overlaps the replay of earlier tasks,
+/// so a recording task must also read no state that replay writes: UM
+/// residency, DeviceStats, pool cursors, observers.
 class WarpCtx {
  public:
   WarpCtx(Device* device, std::size_t task_id);
@@ -135,12 +140,14 @@ class WarpCtx {
   /// Runs `fn(*this)` now in immediate mode, or records it for ordered
   /// replay on the launching thread when recording. This is the escape
   /// hatch for side effects the typed ops cannot express (memory-pool
-  /// bookkeeping); the callback executes interleaved with the replayed
-  /// charges exactly where the call sat in the task.
+  /// bookkeeping, appending extension results to the new column); the
+  /// callback executes interleaved with the replayed charges exactly where
+  /// the call sat in the task.
   void Defer(std::function<void(WarpCtx&)> fn);
 
   /// Applies every op in `log` to this (immediate-mode) context, in order.
-  /// Called by the launching thread once per task, ascending.
+  /// Called by the launching thread once per task, ascending, as soon as
+  /// the task has recorded.
   void Replay(const WarpTaskLog& log);
 
   /// PCIe traffic this warp task generated (zero-copy transactions, UM

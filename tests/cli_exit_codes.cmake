@@ -35,6 +35,14 @@ expect_exit(1 "--observe: missing or malformed value" --observe bogus)
 expect_exit(1 "--warps wants N >= 1" --warps 0)
 expect_exit(1 "--warps wants N >= 1" --warps -3)
 expect_exit(1 "--host-threads wants N >= 1" --host-threads 0)
+# One past the cap: a binary that lost it would start 256 threads, no more.
+expect_exit(1 "--host-threads wants N <= 256" --host-threads 257)
+expect_exit(1 "--host-threads: missing or malformed value"
+            --host-threads 4294967297)
+# device_mb << 20 would wrap: 2^44 MiB to a 0-byte device.
+expect_exit(1 "--device-mb wants N < 2\\^44" --device-mb 17592186044416)
+expect_exit(1 "--device-mb wants N < 2\\^44"
+            --device-mb 18446744073709551615)
 expect_exit(1 "--metrics-interval wants a finite N >= 0" --metrics-interval -5)
 expect_exit(1 "--metrics-interval wants a finite N >= 0"
             --metrics-interval nan)

@@ -1,15 +1,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
+#include <chrono>
+#include <limits>
 #include <list>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "common/random.h"
 #include "gpusim/device.h"
 #include "gpusim/host_array.h"
+#include "gpusim/host_executor.h"
 #include "gpusim/profile.h"
 #include "gpusim/trace.h"
 
@@ -541,6 +546,96 @@ TEST(WarpCtxTest, SimtWorkRoundsUpToWarpSteps) {
   });
   EXPECT_DOUBLE_EQ(t33, 2.0);
   EXPECT_DOUBLE_EQ(t1, 1.0);
+}
+
+// The ordered streaming primitive behind parallel kernel launches. Every
+// index is produced exactly once and consumed in ascending order on the
+// calling thread, never more than window() indices are produced but not
+// consumed, and each consume sees what its produce wrote into the slot
+// t % window(), untouched by later produces until the consume returns. A
+// slow first task lets the workers run ahead until the window stops them.
+void ExpectOrderedFor(int threads, std::size_t n, bool slow_first) {
+  const std::string label = std::to_string(threads) + " threads, n=" +
+                            std::to_string(n) +
+                            (slow_first ? ", slow first task" : "");
+  HostExecutor exec(threads);
+  const std::size_t window = exec.window();
+  ASSERT_EQ(window, HostExecutor::kWindowPerThread * threads) << label;
+  constexpr std::size_t kEmpty = std::numeric_limits<std::size_t>::max();
+  std::vector<std::atomic<int>> produced(n);
+  std::vector<std::size_t> slots(window, kEmpty);
+  std::atomic<std::size_t> live{0};
+  std::atomic<std::size_t> max_live{0};
+  std::size_t next = 0;
+  std::size_t out_of_order = 0;
+  std::size_t off_thread = 0;
+  std::size_t torn = 0;
+  const std::thread::id caller = std::this_thread::get_id();
+  exec.OrderedFor(
+      n,
+      [&](std::size_t t) {
+        const std::size_t now = live.fetch_add(1) + 1;
+        std::size_t seen = max_live.load();
+        while (now > seen && !max_live.compare_exchange_weak(seen, now)) {
+        }
+        if (slow_first && t == 0) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        }
+        produced[t].fetch_add(1);
+        slots[t % window] = t;
+      },
+      [&](std::size_t t) {
+        if (std::this_thread::get_id() != caller) ++off_thread;
+        if (t != next) ++out_of_order;
+        next = t + 1;
+        if (slots[t % window] != t) ++torn;
+        // Hold the slot a while: a produce that reuses it too early lands
+        // between the two reads.
+        if (slow_first) {
+          std::this_thread::sleep_for(std::chrono::microseconds(50));
+        }
+        if (slots[t % window] != t) ++torn;
+        slots[t % window] = kEmpty;
+        live.fetch_sub(1);
+      });
+  EXPECT_EQ(next, n) << label;
+  EXPECT_EQ(out_of_order, 0u) << label;
+  EXPECT_EQ(off_thread, 0u) << label;
+  EXPECT_EQ(torn, 0u) << label;
+  EXPECT_LE(max_live.load(), window) << label;
+  std::size_t not_once = 0;
+  for (const std::atomic<int>& count : produced) not_once += count != 1;
+  EXPECT_EQ(not_once, 0u) << label;
+}
+
+TEST(HostExecutorTest, OrderedForKeepsOrderWindowAndSlots) {
+  for (int threads = 1; threads <= 4; ++threads) {
+    const std::size_t w = HostExecutor::kWindowPerThread * threads;
+    for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{15},
+                          std::size_t{16}, std::size_t{17}, w - 1, w, w + 1,
+                          10 * w}) {
+      ExpectOrderedFor(threads, n, /*slow_first=*/false);
+    }
+    ExpectOrderedFor(threads, 10 * w, /*slow_first=*/true);
+  }
+}
+
+// One executor serves launch after launch: the slots' ready stamps from an
+// earlier call must never pass for a later call's tasks.
+TEST(HostExecutorTest, OrderedForReusesSlotsAcrossCalls) {
+  HostExecutor exec(3);
+  const std::size_t window = exec.window();
+  std::vector<std::size_t> slots(window, 0);
+  for (std::size_t call = 1; call <= 50; ++call) {
+    const std::size_t n = (call * 37) % (3 * window) + 1;
+    std::size_t mismatched = 0;
+    exec.OrderedFor(
+        n, [&](std::size_t t) { slots[t % window] = call * 100000 + t; },
+        [&](std::size_t t) {
+          mismatched += slots[t % window] != call * 100000 + t;
+        });
+    EXPECT_EQ(mismatched, 0u) << "call " << call << ", n=" << n;
+  }
 }
 
 TEST(HostArrayTest, TracksHostMemory) {
