@@ -218,12 +218,12 @@ void GraphAccessor::ChargeSpan(gpusim::WarpCtx& warp, std::size_t offset,
   }
 }
 
-std::span<const graph::VertexId> GraphAccessor::ReadAdjacency(
-    gpusim::WarpCtx& warp, graph::VertexId v) {
+graph::VertexSet GraphAccessor::ReadAdjacency(gpusim::WarpCtx& warp,
+                                              graph::VertexId v) {
   GAMMA_CHECK(prepared_) << "GraphAccessor used before Prepare";
   ChargeSpan(warp, graph_->adjacency_offset_bytes(v),
              graph_->adjacency_bytes(v), col_.region());
-  return graph_->neighbors(v);
+  return {graph_->neighbors(v), graph_->neighbor_bits(v)};
 }
 
 std::pair<std::span<const graph::VertexId>, std::span<const graph::EdgeId>>

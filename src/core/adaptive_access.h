@@ -69,9 +69,11 @@ class GraphAccessor {
   void PlanExtension(
       const std::vector<std::pair<graph::VertexId, uint64_t>>& frontier);
 
-  /// Charged read of `v`'s adjacency list.
-  std::span<const graph::VertexId> ReadAdjacency(gpusim::WarpCtx& warp,
-                                                 graph::VertexId v);
+  /// Charged read of `v`'s adjacency list, handed out with `v`'s neighbor
+  /// bitmap when it is a hub (Graph::neighbor_bits). The charge covers the
+  /// list alone: the bitmap is host state, and this is the only way a
+  /// kernel gets it.
+  graph::VertexSet ReadAdjacency(gpusim::WarpCtx& warp, graph::VertexId v);
 
   /// Charged read of `v`'s adjacency list together with the aligned
   /// undirected edge ids (2x the bytes; used by edge extension). Requires

@@ -151,19 +151,24 @@ Result<ExtensionStats> RunExtension(
     if (!reserve.ok()) return reserve;
   }
 
-  // The column this extension appends to the table.
-  struct {
+  // The results of each chunk, in arrays of their own: the column this
+  // extension appends to the table is built from them at its exact size
+  // once the last chunk is done.
+  struct ChunkColumn {
     std::vector<Unit> units;
     std::vector<RowIndex> parents;
-  } column;
-  // Appends one task's emits to the column and frees them. Deferred, so the
-  // appends land in task order (the serial schedule) at any thread count,
-  // during the launch's replay rather than after it.
-  auto append = [&column](gpusim::WarpCtx& w, std::vector<Emit>* emits) {
-    w.Defer([&column, emits](gpusim::WarpCtx&) {
+  };
+  std::vector<ChunkColumn> chunk_columns;
+  // Appends one task's emits to the current chunk's arrays and frees them.
+  // Deferred, so the appends land in task order (the serial schedule) at
+  // any thread count, during the launch's replay rather than after it.
+  auto append = [&chunk_columns](gpusim::WarpCtx& w,
+                                 std::vector<Emit>* emits) {
+    w.Defer([&chunk_columns, emits](gpusim::WarpCtx&) {
+      ChunkColumn& chunk = chunk_columns.back();
       for (const Emit& e : *emits) {
-        column.units.push_back(e.unit);
-        column.parents.push_back(e.parent);
+        chunk.units.push_back(e.unit);
+        chunk.parents.push_back(e.parent);
       }
       std::vector<Emit>().swap(*emits);
     });
@@ -203,7 +208,6 @@ Result<ExtensionStats> RunExtension(
       device->WaitEvent(compute_stream, flush_done[half]);
     }
 
-    const std::size_t chunk_first_row = column.units.size();
     std::size_t chunk_results = 0;
 
     if (count_only) {
@@ -230,6 +234,8 @@ Result<ExtensionStats> RunExtension(
       }
       continue;
     }
+    const std::vector<Unit>& chunk_units =
+        chunk_columns.emplace_back().units;
     switch (options.write_strategy) {
       case WriteStrategy::kDynamicAlloc: {
         // One cursor per resident warp slot: a warp keeps filling its
@@ -258,7 +264,7 @@ Result<ExtensionStats> RunExtension(
           stats.candidates += task_candidates[i];
         }
         for (auto& cursor : cursors) pool.EndWarpTask(&cursor);
-        chunk_results = column.units.size() - chunk_first_row;
+        chunk_results = chunk_units.size();
         if (async) {
           // The flush reads what the kernel wrote: order it after the
           // compute stream's position, then drain on the copy stream.
@@ -305,7 +311,7 @@ Result<ExtensionStats> RunExtension(
               append(w, &local);
             },
             "extension-write");
-        chunk_results = column.units.size() - chunk_first_row;
+        chunk_results = chunk_units.size();
         if (async) {
           device->WaitEvent(copy_stream, device->RecordEvent(compute_stream));
         }
@@ -331,7 +337,7 @@ Result<ExtensionStats> RunExtension(
         for (std::size_t i = 0; i < chunk_tasks; ++i) {
           stats.candidates += task_candidates[i];
         }
-        chunk_results = column.units.size() - chunk_first_row;
+        chunk_results = chunk_units.size();
         // Combine step: compact the sparse buffer. Bandwidth is paid over
         // the whole preallocated span — that is the cost of overestimation.
         std::size_t alloc_entries =
@@ -372,12 +378,23 @@ Result<ExtensionStats> RunExtension(
   }
 
   if (!count_only) {
-    // The table keeps the column for the rest of the run: drop the slack
-    // the appends' geometric growth left, which can stay resident.
-    column.units.shrink_to_fit();
-    column.parents.shrink_to_fit();
-    Status appended = table->AppendColumn(std::move(column.units),
-                                          std::move(column.parents));
+    // One array at a time, each chunk freed once copied: the chunks of
+    // one array and the copy of the other are never live together.
+    std::vector<Unit> units;
+    units.reserve(stats.results);
+    for (ChunkColumn& chunk : chunk_columns) {
+      units.insert(units.end(), chunk.units.begin(), chunk.units.end());
+      std::vector<Unit>().swap(chunk.units);
+    }
+    std::vector<RowIndex> parents;
+    parents.reserve(stats.results);
+    for (ChunkColumn& chunk : chunk_columns) {
+      parents.insert(parents.end(), chunk.parents.begin(),
+                     chunk.parents.end());
+      std::vector<RowIndex>().swap(chunk.parents);
+    }
+    Status appended =
+        table->AppendColumn(std::move(units), std::move(parents));
     if (!appended.ok()) return appended;
   }
   return stats;
@@ -504,7 +521,7 @@ Result<ExtensionStats> VertexExtend(EmbeddingTable* table,
   // Per-candidate filtering shared by both paths. Returns survivors.
   auto filter_and_emit = [&](gpusim::WarpCtx& w, std::size_t row,
                              std::span<const Unit> emb,
-                             const std::vector<VertexId>& cands,
+                             std::span<const VertexId> cands,
                              std::vector<Emit>* out) {
     if (level.enforce_injective || level.require_ascending) {
       w.ChargeSimtWork(cands.size() * len, 0.5);
@@ -561,62 +578,64 @@ Result<ExtensionStats> VertexExtend(EmbeddingTable* table,
     ChargeTableRead(w, *table, lo, hi);
     std::vector<VertexId> merged, scratch, cands;
     if (grouped) {
-      // One warp per group: hoist the prefix intersection L_m.
+      // One warp per group: hoist the prefix intersection L_m. A single
+      // prefix list is used as read, with its bitmap if it has one.
       std::span<const Unit> prefix = flat.row(lo);
+      graph::VertexSet lm;
       bool first = true;
       for (int p : prefix_positions) {
-        auto adj = accessor->ReadAdjacency(w, prefix[p]);
+        const graph::VertexSet adj = accessor->ReadAdjacency(w, prefix[p]);
         if (first) {
-          merged.assign(adj.begin(), adj.end());
+          lm = adj;
           first = false;
-        } else {
-          IntersectAdaptive(w, merged, adj, &scratch);
-          merged.swap(scratch);
+          continue;
         }
+        IntersectAdaptive(w, lm, adj, &scratch);
+        merged.swap(scratch);
+        lm = merged;
       }
-      // A multi-row group marks L_m in the host thread's bitmap once and
-      // probes each row's list against it, charged as the same adaptive
-      // intersection.
+      // A multi-row group without a hub's bitmap of L_m marks L_m in the
+      // host thread's bitmap once, so each row's list can probe it.
       std::optional<MarkedSet> marked;
-      if (last_included && hi - lo >= 2) {
-        marked.emplace(merged, g.num_vertices());
+      if (last_included && hi - lo >= 2 && lm.bits == nullptr) {
+        marked.emplace(lm.ids, g.num_vertices());
+        lm = marked->set();
       }
       for (std::size_t r = lo; r < hi; ++r) {
         std::span<const Unit> emb = flat.row(r);
+        std::span<const VertexId> row_cands = lm.ids;
         if (last_included) {
-          auto adj = accessor->ReadAdjacency(w, emb[len - 1]);
-          if (marked) {
-            marked->Intersect(w, adj, &cands);
-          } else {
-            IntersectAdaptive(w, merged, adj, &cands);
-          }
+          IntersectAdaptive(w, lm, accessor->ReadAdjacency(w, emb[len - 1]),
+                            &cands);
+          row_cands = cands;
         } else {
-          cands.assign(merged.begin(), merged.end());
-          w.ChargeSimtWork(merged.size(), 0.25);
+          w.ChargeSimtWork(lm.ids.size(), 0.25);
         }
-        raw_candidates += cands.size();
-        filter_and_emit(w, r, emb, cands, out);
+        raw_candidates += row_cands.size();
+        filter_and_emit(w, r, emb, row_cands, out);
       }
     } else {
       for (std::size_t r = lo; r < hi; ++r) {
         std::span<const Unit> emb = flat.row(r);
+        graph::VertexSet set;
         bool first = true;
         for (int p : positions) {
-          auto adj = accessor->ReadAdjacency(w, emb[p]);
+          const graph::VertexSet adj = accessor->ReadAdjacency(w, emb[p]);
           if (first) {
-            merged.assign(adj.begin(), adj.end());
+            set = adj;
             first = false;
             continue;
           }
           if (union_mode) {
-            UnionSorted(w, merged, adj, &scratch);
+            UnionSorted(w, set.ids, adj.ids, &scratch);
           } else {
-            IntersectAdaptive(w, merged, adj, &scratch);
+            IntersectAdaptive(w, set, adj, &scratch);
           }
           merged.swap(scratch);
+          set = merged;
         }
-        raw_candidates += merged.size();
-        filter_and_emit(w, r, emb, merged, out);
+        raw_candidates += set.ids.size();
+        filter_and_emit(w, r, emb, set.ids, out);
       }
     }
     return raw_candidates;

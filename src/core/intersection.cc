@@ -15,8 +15,8 @@ using graph::VertexId;
 constexpr std::size_t kHostGallopRatio = 32;
 // Width of a skipped block; the kernel's OR tests exactly this many.
 constexpr std::ptrdiff_t kBlock = 8;
-// MarkedSet probes a list of at most this many times the set's size;
-// longer ones go through the kernel.
+// A list at most this many times as long as a bitmap's set is probed into
+// it; a longer one goes through the kernel.
 constexpr std::size_t kProbeRatio = 4;
 
 // out = a ∩ b, whatever the warp was charged for. Galloping narrows one
@@ -61,6 +61,19 @@ void IntersectKernel(std::span<const VertexId> a, std::span<const VertexId> b,
   out->resize(n);
 }
 
+// out = the elements of `list` whose bit is set in `bits`, in order.
+void ProbeKernel(std::span<const VertexId> list, const uint64_t* bits,
+                 std::vector<VertexId>* out) {
+  out->resize(list.size());
+  VertexId* dst = out->data();
+  std::size_t n = 0;
+  for (VertexId x : list) {
+    dst[n] = x;
+    n += (bits[x >> 6] >> (x & 63)) & 1;
+  }
+  out->resize(n);
+}
+
 void ChargeMerge(gpusim::WarpCtx& warp, std::size_t a, std::size_t b) {
   warp.ChargeSimtWork(a + b);
 }
@@ -72,7 +85,7 @@ void ChargeGallop(gpusim::WarpCtx& warp, std::size_t small,
   warp.ChargeSimtWork(small, probes);
 }
 
-// IntersectAdaptive's charge, shared with MarkedSet::Intersect.
+// IntersectAdaptive's charge: a function of the two sizes alone.
 void ChargeAdaptive(gpusim::WarpCtx& warp, std::size_t a, std::size_t b) {
   std::size_t small = std::min(a, b);
   std::size_t large = std::max(a, b);
@@ -123,12 +136,20 @@ void IntersectGalloping(gpusim::WarpCtx& warp,
   IntersectKernel(a, b, out);
 }
 
-void IntersectAdaptive(gpusim::WarpCtx& warp,
-                       std::span<const graph::VertexId> a,
-                       std::span<const graph::VertexId> b,
+void IntersectAdaptive(gpusim::WarpCtx& warp, graph::VertexSet a,
+                       graph::VertexSet b,
                        std::vector<graph::VertexId>* out) {
-  ChargeAdaptive(warp, a.size(), b.size());
-  IntersectKernel(a, b, out);
+  ChargeAdaptive(warp, a.ids.size(), b.ids.size());
+  const graph::VertexSet& small = a.ids.size() <= b.ids.size() ? a : b;
+  const graph::VertexSet& large = a.ids.size() <= b.ids.size() ? b : a;
+  if (large.bits != nullptr) {
+    ProbeKernel(small.ids, large.bits, out);
+  } else if (small.bits != nullptr &&
+             large.ids.size() <= kProbeRatio * small.ids.size()) {
+    ProbeKernel(large.ids, small.bits, out);
+  } else {
+    IntersectKernel(a.ids, b.ids, out);
+  }
 }
 
 bool BinaryContains(gpusim::WarpCtx& warp,
@@ -156,24 +177,6 @@ MarkedSet::~MarkedSet() {
   // Every bit set in a word the set touches belongs to the set.
   for (VertexId x : set_) words_[x >> 6] = 0;
   ThreadBitmap().in_use = false;
-}
-
-void MarkedSet::Intersect(gpusim::WarpCtx& warp,
-                          std::span<const graph::VertexId> b,
-                          std::vector<graph::VertexId>* out) const {
-  ChargeAdaptive(warp, set_.size(), b.size());
-  if (b.size() > kProbeRatio * set_.size()) {
-    IntersectKernel(set_, b, out);
-    return;
-  }
-  out->resize(b.size());
-  VertexId* dst = out->data();
-  std::size_t n = 0;
-  for (VertexId x : b) {
-    dst[n] = x;
-    n += (words_[x >> 6] >> (x & 63)) & 1;
-  }
-  out->resize(n);
 }
 
 }  // namespace gpm::core

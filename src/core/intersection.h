@@ -19,10 +19,11 @@ namespace gpm::core {
 /// are, because Graph::FromEdges sorts and deduplicates them (LoadBinary
 /// rebuilds through it too).
 ///
-/// A charge depends on the list sizes only, never on their contents or on
-/// how the host computes the result. The intersections below therefore
-/// share one host kernel whatever the warp is charged for; only the charge
-/// tells merge from galloping.
+/// A charge depends on the list sizes only, never on their contents, their
+/// bitmaps or how the host computes the result. The intersections below
+/// therefore share one host kernel whatever the warp is charged for, and
+/// IntersectAdaptive swaps it for a bitmap probe when an operand has one;
+/// only the charge tells merge from galloping.
 
 /// out = a ∩ b. Charged as a warp merge.
 void IntersectSorted(gpusim::WarpCtx& warp,
@@ -41,11 +42,13 @@ void IntersectGalloping(gpusim::WarpCtx& warp,
 
 /// Picks merge vs galloping by size ratio (gallop when the larger list is
 /// >= kGallopRatio times the smaller; the classic adaptive intersection).
-/// Charges nothing when either list is empty.
+/// Charges nothing when either list is empty. The host probes the shorter
+/// list into the longer one's bitmap, or else the longer list into the
+/// shorter one's when it is at most 4 times as long; otherwise it runs the
+/// shared kernel. `out` must not alias either operand.
 inline constexpr std::size_t kGallopRatio = 16;
-void IntersectAdaptive(gpusim::WarpCtx& warp,
-                       std::span<const graph::VertexId> a,
-                       std::span<const graph::VertexId> b,
+void IntersectAdaptive(gpusim::WarpCtx& warp, graph::VertexSet a,
+                       graph::VertexSet b,
                        std::vector<graph::VertexId>* out);
 
 /// out = a ∪ b (dedup). Charged as a warp merge.
@@ -58,26 +61,23 @@ bool BinaryContains(gpusim::WarpCtx& warp,
                     std::span<const graph::VertexId> list,
                     graph::VertexId x);
 
-/// A set marked in the calling host thread's scratch bitmap, for
+/// A list marked in the calling host thread's scratch bitmap, for
 /// intersecting one list with many (a pre-merge group's hoisted prefix
-/// with each row's adjacency list). `Intersect(warp, b, out)` returns and
-/// charges exactly what IntersectAdaptive(warp, set, b, out) does, but
-/// computes a short enough `b` with one bit test per element. The bitmap
-/// holds one bit per vertex and is all zeros outside a MarkedSet's
-/// lifetime: the destructor clears only the words the set marked. One
-/// thread holds at most one MarkedSet at a time, and destroys it on the
-/// thread that made it.
+/// with each row's adjacency list): `set()` is the list with that bitmap,
+/// an operand IntersectAdaptive can probe. The bitmap holds one bit per
+/// vertex and is all zeros outside a MarkedSet's lifetime: the destructor
+/// clears only the words the set marked. One thread holds at most one
+/// MarkedSet at a time, and destroys it on the thread that made it.
 class MarkedSet {
  public:
   /// `set` must outlive this object unchanged, and every element of `set`
-  /// and of each list passed to Intersect must be < `num_vertices`.
+  /// and of each list intersected with `set()` must be < `num_vertices`.
   MarkedSet(std::span<const graph::VertexId> set, std::size_t num_vertices);
   ~MarkedSet();
   MarkedSet(const MarkedSet&) = delete;
   MarkedSet& operator=(const MarkedSet&) = delete;
 
-  void Intersect(gpusim::WarpCtx& warp, std::span<const graph::VertexId> b,
-                 std::vector<graph::VertexId>* out) const;
+  graph::VertexSet set() const { return {set_, words_}; }
 
  private:
   std::span<const graph::VertexId> set_;

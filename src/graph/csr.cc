@@ -36,7 +36,27 @@ Graph Graph::FromEdges(VertexId num_vertices, const std::vector<Edge>& edges,
     uint32_t d = static_cast<uint32_t>(g.row_ptr_[v + 1] - g.row_ptr_[v]);
     g.max_degree_ = std::max(g.max_degree_, d);
   }
+  g.BuildHubBitmaps();
   return g;
+}
+
+void Graph::BuildHubBitmaps() {
+  const std::size_t n = num_vertices();
+  const std::size_t hub_degree = std::max<std::size_t>(1, n / 32);
+  std::size_t hubs = 0;
+  for (VertexId v = 0; v < n; ++v) hubs += degree(v) >= hub_degree;
+  if (hubs == 0) return;
+  bitmap_words_ = (n + 63) / 64;
+  hub_slot_.assign(n, kNotHub);
+  hub_bits_.assign(hubs * bitmap_words_, 0);
+  uint32_t slot = 0;
+  for (VertexId v = 0; v < n; ++v) {
+    if (degree(v) < hub_degree) continue;
+    hub_slot_[v] = slot;
+    uint64_t* bits = hub_bits_.data() + std::size_t{slot} * bitmap_words_;
+    for (VertexId u : neighbors(v)) bits[u >> 6] |= uint64_t{1} << (u & 63);
+    ++slot;
+  }
 }
 
 bool Graph::HasEdge(VertexId u, VertexId v) const {

@@ -21,14 +21,30 @@ struct Edge {
   friend auto operator<=>(const Edge&, const Edge&) = default;
 };
 
+/// A strictly increasing vertex list, and a bitmap of the same set when
+/// one is at hand: bit u % 64 of word u / 64 is set iff u is in `ids`,
+/// and `bits` is null when there is none. A plain list converts to a set
+/// without a bitmap.
+struct VertexSet {
+  VertexSet() = default;
+  VertexSet(std::span<const VertexId> ids, const uint64_t* bits = nullptr)
+      : ids(ids), bits(bits) {}
+  VertexSet(const std::vector<VertexId>& ids) : ids(ids) {}
+
+  std::span<const VertexId> ids;
+  const uint64_t* bits = nullptr;
+};
+
 /// Labeled graph in Compressed Sparse Row form (§IV).
 ///
 /// Adjacency lists are sorted, which enables binary-search adjacency tests
 /// and merge-based intersection — both primitives GAMMA's extension step
 /// relies on. The graph is stored undirected: each edge appears in both
-/// endpoints' adjacency lists. An optional edge index assigns each
-/// undirected edge a dense EdgeId and provides vertex→incident-edge lists
-/// (needed by edge-extension / e-ET workloads such as FPM).
+/// endpoints' adjacency lists. Every hub, a vertex of degree at least
+/// max(1, |V| / 32), also gets a neighbor bitmap. An optional edge index
+/// assigns each undirected edge a dense EdgeId and provides
+/// vertex→incident-edge lists (needed by edge-extension / e-ET workloads
+/// such as FPM).
 class Graph {
  public:
   struct BuildOptions {
@@ -38,8 +54,9 @@ class Graph {
 
   Graph() = default;
 
-  /// Builds an undirected CSR from an edge list. Vertices are
-  /// [0, num_vertices); out-of-range endpoints are CHECK-failed.
+  /// Builds an undirected CSR from an edge list, and the hubs' neighbor
+  /// bitmaps. Vertices are [0, num_vertices); out-of-range endpoints are
+  /// CHECK-failed.
   static Graph FromEdges(VertexId num_vertices,
                          const std::vector<Edge>& edges,
                          const BuildOptions& options);
@@ -70,6 +87,16 @@ class Graph {
   std::span<const VertexId> neighbors(VertexId v) const {
     return {col_.data() + row_ptr_[v],
             col_.data() + row_ptr_[v + 1]};
+  }
+
+  /// `v`'s neighbor bitmap (VertexSet's layout, one bit per vertex) when
+  /// `v` is a hub, else null. A bitmap is no larger than the hub's list
+  /// when 64 divides |V|, and at most one word larger otherwise. The
+  /// bitmaps are host state the simulated device never holds, so
+  /// StorageBytes() leaves them out.
+  const uint64_t* neighbor_bits(VertexId v) const {
+    if (hub_slot_.empty() || hub_slot_[v] == kNotHub) return nullptr;
+    return hub_bits_.data() + std::size_t{hub_slot_[v]} * bitmap_words_;
   }
 
   /// Byte offset of `v`'s adjacency list inside the column array — used by
@@ -133,11 +160,21 @@ class Graph {
   std::string DebugString() const;
 
  private:
+  static constexpr uint32_t kNotHub = 0xffffffffu;
+  void BuildHubBitmaps();
+
   std::vector<uint64_t> row_ptr_;
   std::vector<VertexId> col_;
   std::vector<Label> labels_;
   uint32_t num_labels_ = 1;
   uint32_t max_degree_ = 0;
+
+  // Hub neighbor bitmaps, `bitmap_words_` words each, in vertex order;
+  // hub_slot_[v] is v's index among them or kNotHub. Both are empty when
+  // no vertex is a hub.
+  std::size_t bitmap_words_ = 0;
+  std::vector<uint32_t> hub_slot_;
+  std::vector<uint64_t> hub_bits_;
 
   // Undirected edge index (built on demand).
   std::vector<Edge> edge_list_;

@@ -157,7 +157,8 @@ TEST_F(GraphAccessorTest, HybridRoutesHotPagesToUnified) {
   device.LaunchKernel(1, [&](gpusim::WarpCtx& w, std::size_t) {
     for (graph::VertexId v = 0; v < 50; ++v) {
       auto adj = accessor.ReadAdjacency(w, v);
-      EXPECT_EQ(adj.size(), g.degree(v));
+      EXPECT_EQ(adj.ids.size(), g.degree(v));
+      EXPECT_EQ(adj.bits, g.neighbor_bits(v));
     }
   });
   EXPECT_GT(stats.um_page_faults + stats.um_page_hits, 0u);

@@ -2,10 +2,16 @@
 
 #include <algorithm>
 
+#include "common/random.h"
 #include "graph/canonical.h"
 #include "graph/csr.h"
+#include "graph/datasets.h"
+#include "graph/generators.h"
 #include "graph/isomorphism.h"
+#include "graph/loader.h"
 #include "graph/pattern.h"
+#include "graph/reorder.h"
+#include "graph/upscale.h"
 
 namespace gpm::graph {
 namespace {
@@ -294,6 +300,68 @@ TEST(GraphTest, StorageBytesReasonable) {
   Graph g = ToyGraph();
   // row_ptr (6x8) + col (12x4) + labels (5x4) = 116 before edge index.
   EXPECT_EQ(g.StorageBytes(), 116u);
+}
+
+// A vertex has a neighbor bitmap exactly when its degree is at least
+// max(1, |V| / 32); each bit u < |V| says whether u is a neighbor, and the
+// bits past |V| in the last word are clear. StorageBytes() still counts
+// the CSR arrays alone.
+// Returns the number of hubs.
+std::size_t ExpectHubBitmaps(const Graph& g, const std::string& label) {
+  const std::size_t n = g.num_vertices();
+  const std::size_t hub_degree = std::max<std::size_t>(1, n / 32);
+  const std::size_t words = (n + 63) / 64;
+  EXPECT_EQ(g.StorageBytes(), g.row_ptr().size() * sizeof(uint64_t) +
+                                  g.col().size() * sizeof(VertexId) +
+                                  g.labels().size() * sizeof(Label))
+      << label;
+  std::size_t hubs = 0;
+  for (VertexId v = 0; v < n; ++v) {
+    const uint64_t* bits = g.neighbor_bits(v);
+    EXPECT_EQ(bits != nullptr, g.degree(v) >= hub_degree)
+        << label << ": vertex " << v << " of degree " << g.degree(v);
+    if (bits == nullptr) continue;
+    ++hubs;
+    for (std::size_t u = 0; u < 64 * words; ++u) {
+      const bool bit = (bits[u / 64] >> (u % 64)) & 1;
+      const bool edge = u < n && g.HasEdge(v, static_cast<VertexId>(u));
+      EXPECT_EQ(bit, edge) << label << ": bit " << u << " of vertex " << v;
+    }
+  }
+  return hubs;
+}
+
+TEST(GraphTest, HubBitmapsFromEveryBuilder) {
+  Rng rng(23);
+  // Fewer than 32 vertices: every vertex with an edge is a hub.
+  EXPECT_EQ(ExpectHubBitmaps(ToyGraph(), "toy"), 5u);
+  EXPECT_EQ(ExpectHubBitmaps(
+                Graph::FromEdges(7, {{0, 1}, {1, 2}, {2, 0}, {3, 4}}),
+                "7 vertices"),
+            5u);
+  // 64 divides neither 200 nor 1000 nor 2000; it divides R-MAT's 512.
+  EXPECT_GT(ExpectHubBitmaps(ErdosRenyi(200, 600, &rng), "ErdosRenyi"), 0u);
+  const Graph power = PowerLaw(1000, 6000, 0.9, &rng);
+  EXPECT_GT(ExpectHubBitmaps(power, "PowerLaw"), 0u);
+  EXPECT_GT(ExpectHubBitmaps(Rmat(9, 3000, &rng), "Rmat"), 0u);
+  EXPECT_GT(ExpectHubBitmaps(Reorder(power, ReorderStrategy::kDegeneracy),
+                             "Reorder"),
+            0u);
+  EXPECT_GT(ExpectHubBitmaps(Upscale(power, 2, &rng), "Upscale"), 0u);
+  const std::string path = testing::TempDir() + "/gamma_hub_bitmaps.bin";
+  ASSERT_TRUE(SaveBinary(power, path).ok());
+  Result<Graph> loaded = LoadBinary(path);
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_GT(ExpectHubBitmaps(loaded.value(), "LoadBinary"), 0u);
+  // CL: 79 hubs, and StorageBytes() reads what it read before they had
+  // bitmaps.
+  const Graph cl = MakeDataset("CL");
+  EXPECT_EQ(ExpectHubBitmaps(cl, "CL"), 79u);
+  EXPECT_EQ(cl.StorageBytes(), 270368u);
+  // A cycle: every degree is 2, below 96 / 32 = 3, so no vertex is a hub.
+  std::vector<Edge> cycle;
+  for (VertexId v = 0; v < 96; ++v) cycle.push_back({v, (v + 1) % 96});
+  EXPECT_EQ(ExpectHubBitmaps(Graph::FromEdges(96, cycle), "cycle"), 0u);
 }
 
 }  // namespace

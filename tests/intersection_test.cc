@@ -200,7 +200,11 @@ TEST(IntersectionTest, DifferentialAgainstSetIntersection) {
   } kPrimitives[] = {
       {"IntersectSorted", IntersectSorted, MergeCycles},
       {"IntersectGalloping", IntersectGalloping, GallopCycles},
-      {"IntersectAdaptive", IntersectAdaptive, AdaptiveCycles},
+      {"IntersectAdaptive",
+       [](gpusim::WarpCtx& w, std::span<const VertexId> a,
+          std::span<const VertexId> b,
+          std::vector<VertexId>* out) { IntersectAdaptive(w, a, b, out); },
+       AdaptiveCycles},
   };
   gpusim::Device device(SmallParams());
   const int warp_size = device.params().warp_size;
@@ -244,9 +248,9 @@ TEST(IntersectionTest, DifferentialAgainstSetIntersection) {
         IntersectAdaptive(adaptive_rec, a, b, &adaptive_out);
         {
           MarkedSet set(a, universe);
-          set.Intersect(marked, b, &marked_out);
+          IntersectAdaptive(marked, set.set(), b, &marked_out);
           EXPECT_EQ(marked_out, want) << "MarkedSet " << label;
-          set.Intersect(marked_rec, b, &marked_out);
+          IntersectAdaptive(marked_rec, set.set(), b, &marked_out);
         }
         EXPECT_EQ(marked_out, adaptive_out) << "MarkedSet " << label;
         EXPECT_EQ(marked.cycles(), adaptive.cycles()) << "MarkedSet " << label;
@@ -256,6 +260,133 @@ TEST(IntersectionTest, DifferentialAgainstSetIntersection) {
       }
     }
   }
+}
+
+// One bit per id below `universe`, in graph::VertexSet's layout.
+std::vector<uint64_t> Bitmap(const std::vector<VertexId>& list,
+                             VertexId universe) {
+  std::vector<uint64_t> words((universe + 63) / 64, 0);
+  for (VertexId x : list) words[x >> 6] |= uint64_t{1} << (x & 63);
+  return words;
+}
+
+// IntersectAdaptive(a, b) returns std::set_intersection of the two lists,
+// and charges exactly what the same call without bitmaps charges, down to
+// the recorded WarpOp log.
+void ExpectBitmapsChangeNothing(gpusim::Device* device, graph::VertexSet a,
+                                graph::VertexSet b,
+                                const std::string& label) {
+  std::vector<VertexId> want;
+  std::set_intersection(a.ids.begin(), a.ids.end(), b.ids.begin(),
+                        b.ids.end(), std::back_inserter(want));
+  gpusim::WarpTaskLog plain_log, bits_log;
+  gpusim::WarpCtx plain_rec(device, 0, &plain_log);
+  gpusim::WarpCtx bits_rec(device, 0, &bits_log);
+  gpusim::WarpCtx plain(device, 0), bits(device, 0);
+  std::vector<VertexId> plain_out, out{42};  // stale contents are replaced
+  IntersectAdaptive(plain, a.ids, b.ids, &plain_out);
+  IntersectAdaptive(plain_rec, a.ids, b.ids, &plain_out);
+  IntersectAdaptive(bits, a, b, &out);
+  EXPECT_EQ(out, want) << label;
+  out = {42};
+  IntersectAdaptive(bits_rec, a, b, &out);
+  EXPECT_EQ(out, want) << label;
+  EXPECT_EQ(bits.cycles(), plain.cycles()) << label;
+  EXPECT_EQ(bits.class_cycles(), plain.class_cycles()) << label;
+  ExpectSameOps(bits_log, plain_log, label);
+}
+
+// Every way an operand can carry a bitmap: the longer side, the shorter
+// side, both, and a MarkedSet on either side with or without a bitmap on
+// the other. Sizes include empty and equal lists and ratios on both sides
+// of 4 (probing the longer list into the shorter one's bitmap), 16 (the
+// charge's gallop) and 32 (the host kernel's gallop), in both orders. Each
+// nonempty list ends at the universe's last id, so both bitmaps hold a
+// shared id in their last word.
+TEST(IntersectionTest, BitmapsChangeNoResultOrCharge) {
+  const std::size_t kSizes[] = {0, 1, 7, 8, 9, 63, 64, 65, 300};
+  const std::size_t kRatios[] = {1, 3, 4, 5, 15, 16, 17, 31, 32, 33};
+  gpusim::Device device(SmallParams());
+  Rng rng(20232);
+  for (std::size_t small : kSizes) {
+    for (std::size_t ratio : kRatios) {
+      const std::size_t large = small == 0 ? ratio - 1 : small * ratio;
+      const auto universe = static_cast<VertexId>(2 * large + small + 1);
+      auto draw = [&](std::size_t n) {
+        std::vector<VertexId> list = RandomList(&rng, n, universe);
+        if (!list.empty() && list.back() != universe - 1) {
+          list.back() = universe - 1;
+        }
+        return list;
+      };
+      const std::vector<VertexId> s = draw(small);
+      const std::vector<VertexId> l = draw(large);
+      const std::vector<uint64_t> s_bits = Bitmap(s, universe);
+      const std::vector<uint64_t> l_bits = Bitmap(l, universe);
+      for (bool swapped : {false, true}) {
+        const std::string sizes = std::to_string(swapped ? large : small) +
+                                  " x " +
+                                  std::to_string(swapped ? small : large);
+        auto check = [&](graph::VertexSet short_set,
+                         graph::VertexSet long_set, const char* where) {
+          const std::string label = sizes + ", bitmap on " + where;
+          if (swapped) {
+            ExpectBitmapsChangeNothing(&device, long_set, short_set, label);
+          } else {
+            ExpectBitmapsChangeNothing(&device, short_set, long_set, label);
+          }
+        };
+        check({s}, {l, l_bits.data()}, "the longer side");
+        check({s, s_bits.data()}, {l}, "the shorter side");
+        check({s, s_bits.data()}, {l, l_bits.data()}, "both sides");
+        {
+          MarkedSet marked(s, universe);
+          check(marked.set(), {l}, "the shorter side, marked");
+          check(marked.set(), {l, l_bits.data()},
+                "the shorter side, marked, and the longer side");
+        }
+        {
+          MarkedSet marked(l, universe);
+          check({s}, marked.set(), "the longer side, marked");
+          check({s, s_bits.data()}, marked.set(),
+                "the longer side, marked, and the shorter side");
+        }
+      }
+    }
+  }
+}
+
+// The graph's own hub bitmaps, on a vertex count that is not a multiple
+// of 64: every pair of neighbor lists, hub or not, intersects to the same
+// result and charge with Graph::neighbor_bits as without.
+TEST(IntersectionTest, HubBitmapsChangeNoResultOrCharge) {
+  constexpr VertexId kVertices = 200;  // hubs have degree >= 6
+  Rng rng(20233);
+  std::vector<graph::Edge> edges;
+  for (VertexId v = 0; v < kVertices; ++v) {
+    // Vertices 0-9 are hubs whose lists reach into the last word; most
+    // others stay below the hub degree.
+    const std::size_t degree = v < 10 ? 12 + 4 * v : v % 3;
+    for (std::size_t i = 0; i < degree; ++i) {
+      edges.push_back(
+          {v, static_cast<VertexId>(rng.NextBounded(kVertices))});
+    }
+    if (v < 10) edges.push_back({v, kVertices - 1 - v});
+  }
+  const graph::Graph g = graph::Graph::FromEdges(kVertices, edges);
+  gpusim::Device device(SmallParams());
+  std::size_t hubs = 0;
+  for (VertexId u = 0; u < kVertices; ++u) {
+    hubs += g.neighbor_bits(u) != nullptr;
+    for (VertexId v = 0; v < kVertices; ++v) {
+      ExpectBitmapsChangeNothing(
+          &device, {g.neighbors(u), g.neighbor_bits(u)},
+          {g.neighbors(v), g.neighbor_bits(v)},
+          "N(" + std::to_string(u) + ") x N(" + std::to_string(v) + ")");
+    }
+  }
+  EXPECT_GE(hubs, 10u);
+  EXPECT_LT(hubs, kVertices / 2);
 }
 
 }  // namespace
