@@ -351,6 +351,43 @@ inline void SkipCrashed(benchmark::State& state, const Status& status) {
   }
 }
 
+/// Fails the run the way SkipCrashed does when a system's result count
+/// differs from the CPU oracle's, so a baseline comparison sees a wrong
+/// count as a changed skip state. Returns whether the counts agree.
+inline bool CheckCount(benchmark::State& state, uint64_t count,
+                       uint64_t oracle) {
+  if (count == oracle) return true;
+  SkipCrashed(state, Status::Internal(
+                         "count " + std::to_string(count) +
+                         " differs from the CPU oracle's " +
+                         std::to_string(oracle)));
+  return false;
+}
+
+/// The CPU oracle's k-clique count on a bench dataset, computed once per
+/// binary.
+inline uint64_t OracleKCliques(const std::string& dataset, int k) {
+  static auto* counts = new std::map<std::pair<std::string, int>, uint64_t>();
+  auto [it, fresh] = counts->try_emplace({dataset, k}, 0);
+  if (fresh) it->second = baselines::CpuKClique(Dataset(dataset), k, {}).count;
+  return it->second;
+}
+
+/// The CPU oracle's embedding count of SM query `query` on a bench
+/// dataset, computed once per binary.
+inline uint64_t OracleSmEmbeddings(const std::string& dataset, int query) {
+  static auto* counts = new std::map<std::pair<std::string, int>, uint64_t>();
+  auto [it, fresh] = counts->try_emplace({dataset, query}, 0);
+  if (fresh) {
+    const graph::Graph& g = Dataset(dataset);
+    it->second = baselines::CpuSubgraphMatch(
+                     g, graph::Pattern::SmQuery(query, g.num_labels()), {},
+                     /*symmetry_breaking=*/false)
+                     .count;
+  }
+  return it->second;
+}
+
 /// Attaches the run's memory-traffic counters and per-phase simulated time
 /// to the benchmark, so the reported table carries the same breakdown the
 /// JSON profile exports (headline counters plus one `<phase>_ms` column

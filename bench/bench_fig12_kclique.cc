@@ -15,6 +15,7 @@ enum class System { kGamma, kPangolinGpu, kPangolinSt, kPeregrine };
 void BM_Kcl(benchmark::State& state, std::string dataset, int k,
             System sys) {
   const graph::Graph& g = bench::Dataset(dataset);
+  const uint64_t oracle = bench::OracleKCliques(dataset, k);
   for (auto _ : state) {
     double sim_millis = 0;
     uint64_t count = 0;
@@ -45,11 +46,13 @@ void BM_Kcl(benchmark::State& state, std::string dataset, int k,
           bench::SkipCrashed(state, r.status());
           return;
         }
+        bench::ReportProfile(state, device);
         sim_millis = r.value().sim_millis;
         count = r.value().count;
         break;
       }
     }
+    if (!bench::CheckCount(state, count, oracle)) return;
     state.counters["cliques"] = static_cast<double>(count);
     bench::ReportSimMillis(state, sim_millis);
   }

@@ -34,6 +34,7 @@ core::GammaOptions VariantOptions(Variant v) {
 
 void BM_OptSm(benchmark::State& state, std::string dataset, Variant v) {
   const graph::Graph& g = bench::Dataset(dataset);
+  const uint64_t oracle = bench::OracleSmEmbeddings(dataset, 2);
   graph::Pattern q = graph::Pattern::SmQuery(2, g.num_labels());
   for (auto _ : state) {
     gpusim::Device device(bench::BenchDeviceParams());
@@ -42,6 +43,8 @@ void BM_OptSm(benchmark::State& state, std::string dataset, Variant v) {
       bench::SkipCrashed(state, r.status());
       return;
     }
+    if (!bench::CheckCount(state, r.value().count, oracle)) return;
+    bench::ReportProfile(state, device);
     state.counters["embeddings"] = static_cast<double>(r.value().count);
     bench::ReportSimMillis(state, r.value().sim_millis);
   }

@@ -31,6 +31,7 @@ core::GammaOptions VariantOptions(Variant v) {
 
 void BM_OptKcl(benchmark::State& state, std::string dataset, Variant v) {
   const graph::Graph& g = bench::Dataset(dataset);
+  const uint64_t oracle = bench::OracleKCliques(dataset, 4);
   for (auto _ : state) {
     gpusim::Device device(bench::BenchDeviceParams());
     auto r = baselines::GammaKClique(&device, g, 4, VariantOptions(v));
@@ -38,6 +39,8 @@ void BM_OptKcl(benchmark::State& state, std::string dataset, Variant v) {
       bench::SkipCrashed(state, r.status());
       return;
     }
+    if (!bench::CheckCount(state, r.value().count, oracle)) return;
+    bench::ReportProfile(state, device);
     state.counters["cliques"] = static_cast<double>(r.value().count);
     bench::ReportSimMillis(state, r.value().sim_millis);
   }

@@ -23,38 +23,72 @@ const char* KindName(TableKind kind) {
   return kind == TableKind::kVertex ? "vertex" : "edge";
 }
 
-// Host-side flat materialization of the table: row-major rows x len. This
-// is the functional truth the kernels compute over; the simulated cost of
-// reading the columns is charged separately by ChargeTableRead.
-struct Flattened {
+// Rows [lo, lo + n) of a table, row-major: the functional truth a warp
+// task's kernel computes over. The simulated cost of reading the columns
+// is charged separately by ChargeTableRead.
+struct RowBlock {
   int len = 0;
-  std::size_t rows = 0;
+  std::size_t lo = 0;
   std::vector<Unit> data;
+  // Each row's ancestor in the column being read (ReadRows' cursor).
+  std::vector<RowIndex> anc;
 
+  // Row `r` of the table, lo <= r < lo + n.
   std::span<const Unit> row(std::size_t r) const {
-    return {data.data() + r * len, static_cast<std::size_t>(len)};
+    return {data.data() + (r - lo) * len, static_cast<std::size_t>(len)};
   }
 };
 
-Flattened Flatten(const EmbeddingTable& table) {
-  Flattened flat;
-  flat.len = table.length();
-  flat.rows = table.num_embeddings();
-  flat.data.resize(flat.rows * flat.len);
-  if (flat.rows == 0) return flat;
-  // Walk column by column: compute each row's ancestor in one pass per
-  // column instead of chasing parents per row.
-  std::vector<RowIndex> anc(flat.rows);
-  for (std::size_t r = 0; r < flat.rows; ++r) anc[r] = static_cast<RowIndex>(r);
-  for (int j = flat.len - 1; j >= 0; --j) {
+// Materializes rows [lo, hi) of `table` into `block`, reusing its storage.
+// Walks column by column: each column computes every row's ancestor in one
+// pass instead of chasing parents per row.
+void ReadRows(const EmbeddingTable& table, std::size_t lo, std::size_t hi,
+              RowBlock* block) {
+  const int len = table.length();
+  const std::size_t n = hi - lo;
+  block->len = len;
+  block->lo = lo;
+  block->data.resize(n * len);
+  block->anc.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    block->anc[i] = static_cast<RowIndex>(lo + i);
+  }
+  for (int j = len - 1; j >= 0; --j) {
     const auto& units = table.column(j).units.host_data();
     const auto& parents = table.column(j).parents.host_data();
-    for (std::size_t r = 0; r < flat.rows; ++r) {
-      flat.data[r * flat.len + j] = units[anc[r]];
-      anc[r] = parents[anc[r]];
+    for (std::size_t i = 0; i < n; ++i) {
+      block->data[i * len + j] = units[block->anc[i]];
+      block->anc[i] = parents[block->anc[i]];
     }
   }
-  return flat;
+}
+
+// Host-side buffers of the extension kernels, one set per host thread like
+// the intersection's scratch bitmap: a thread runs one warp task at a time,
+// so a task's rows and intersection lists reuse the storage of the tasks,
+// launches and runs before it on that thread.
+struct TaskScratch {
+  RowBlock rows;
+  std::vector<VertexId> merged, scratch, cands;
+};
+
+TaskScratch& ThreadScratch() {
+  thread_local TaskScratch scratch;
+  return scratch;
+}
+
+// Calls `fn(row)` on every row of `table` in row-major order, reading
+// blocks of rows into the calling thread's block (the planner's frontier).
+template <typename Fn>
+void ForEachRow(const EmbeddingTable& table, Fn&& fn) {
+  constexpr std::size_t kBlockRows = 4096;
+  RowBlock& block = ThreadScratch().rows;
+  const std::size_t rows = table.num_embeddings();
+  for (std::size_t lo = 0; lo < rows; lo += kBlockRows) {
+    const std::size_t hi = std::min(rows, lo + kBlockRows);
+    ReadRows(table, lo, hi, &block);
+    for (std::size_t r = lo; r < hi; ++r) fn(block.row(r));
+  }
 }
 
 // Charges the unified-memory reads a warp performs to reconstruct rows
@@ -76,18 +110,12 @@ void ChargeTableRead(gpusim::WarpCtx& warp, const EmbeddingTable& table,
   }
 }
 
-// One emitted extension result.
-struct Emit {
-  Unit unit;
-  RowIndex parent;
-};
-
 // Generator interface: fills `out` with the accepted candidates of rows
 // [lo, hi) while charging `warp`. Returns the raw candidate count (before
 // filtering) for the stats.
 using RowRangeGenerator = std::function<std::size_t(
     gpusim::WarpCtx& warp, std::size_t lo, std::size_t hi,
-    std::vector<Emit>* out)>;
+    std::vector<ExtensionEmit>* out)>;
 
 // A kernel-granularity unit of work: either a plain row range or one
 // pre-merge group.
@@ -159,18 +187,26 @@ Result<ExtensionStats> RunExtension(
     std::vector<RowIndex> parents;
   };
   std::vector<ChunkColumn> chunk_columns;
-  // Appends one task's emits to the current chunk's arrays and frees them.
-  // Deferred, so the appends land in task order (the serial schedule) at
-  // any thread count, during the launch's replay rather than after it.
+  // Each task's results, in buffers reused across tasks and launches: task
+  // i of a launch fills slot i % task_window(), and the slot is empty again
+  // before task i + task_window() starts.
+  std::vector<std::vector<ExtensionEmit>> slots(device->task_window());
+  auto slot = [&slots](std::size_t i) -> std::vector<ExtensionEmit>& {
+    return slots[i % slots.size()];
+  };
+  // Appends one task's emits to the current chunk's arrays and empties its
+  // slot, keeping the capacity. Deferred, so the appends land in task order
+  // (the serial schedule) at any thread count, during the launch's replay
+  // rather than after it.
   auto append = [&chunk_columns](gpusim::WarpCtx& w,
-                                 std::vector<Emit>* emits) {
+                                 std::vector<ExtensionEmit>* emits) {
     w.Defer([&chunk_columns, emits](gpusim::WarpCtx&) {
       ChunkColumn& chunk = chunk_columns.back();
-      for (const Emit& e : *emits) {
+      for (const ExtensionEmit& e : *emits) {
         chunk.units.push_back(e.unit);
         chunk.parents.push_back(e.parent);
       }
-      std::vector<Emit>().swap(*emits);
+      emits->clear();
     });
   };
 
@@ -221,11 +257,12 @@ Result<ExtensionStats> RunExtension(
           compute_stream, chunk_tasks,
           [&](gpusim::WarpCtx& w, std::size_t i) {
             const WarpTask& task = tasks[chunk_begin + i];
-            std::vector<Emit> local;
+            std::vector<ExtensionEmit>& local = slot(i);
             task_candidates[i] = generate(w, task.lo, task.hi, &local);
             w.ChargeWarpScan();
             w.ChargeAtomic();
             task_results[i] = local.size();
+            local.clear();
           },
           "extension-count-only");
       for (std::size_t i = 0; i < chunk_tasks; ++i) {
@@ -244,16 +281,15 @@ Result<ExtensionStats> RunExtension(
         std::vector<MemoryPool::WarpCursor> cursors(
             std::max(1, device->params().num_warp_slots));
         // Task-local accumulation: every task owns its tally slot and emit
-        // buffer; the pool write and the column append defer their
+        // slot; the pool write and the column append defer their
         // shared-state updates when recording. The tallies are reduced
         // after the launch.
         std::vector<std::size_t> task_candidates(chunk_tasks, 0);
-        std::vector<std::vector<Emit>> task_emits(chunk_tasks);
         stats.kernel_cycles += device->LaunchKernelAsync(
             compute_stream, chunk_tasks,
             [&](gpusim::WarpCtx& w, std::size_t i) {
               const WarpTask& task = tasks[chunk_begin + i];
-              std::vector<Emit>& local = task_emits[i];
+              std::vector<ExtensionEmit>& local = slot(i);
               task_candidates[i] = generate(w, task.lo, task.hi, &local);
               pool.WarpWrite(w, &cursors[i % cursors.size()], local.size(),
                              kEntryBytes);
@@ -281,9 +317,10 @@ Result<ExtensionStats> RunExtension(
             compute_stream, chunk_tasks,
             [&](gpusim::WarpCtx& w, std::size_t i) {
               const WarpTask& task = tasks[chunk_begin + i];
-              std::vector<Emit> local;
+              std::vector<ExtensionEmit>& local = slot(i);
               task_candidates[i] = generate(w, task.lo, task.hi, &local);
               counts[i] = local.size();
+              local.clear();
               w.DeviceWrite(sizeof(uint32_t));  // per-task count
             },
             "extension-count");
@@ -300,12 +337,11 @@ Result<ExtensionStats> RunExtension(
             },
             "extension-scan");
         // Pass 2: regenerate and write at exact offsets.
-        std::vector<std::vector<Emit>> task_emits(chunk_tasks);
         stats.kernel_cycles += device->LaunchKernelAsync(
             compute_stream, chunk_tasks,
             [&](gpusim::WarpCtx& w, std::size_t i) {
               const WarpTask& task = tasks[chunk_begin + i];
-              std::vector<Emit>& local = task_emits[i];
+              std::vector<ExtensionEmit>& local = slot(i);
               generate(w, task.lo, task.hi, &local);
               w.DeviceWrite(local.size() * kEntryBytes);
               append(w, &local);
@@ -321,12 +357,11 @@ Result<ExtensionStats> RunExtension(
       }
       case WriteStrategy::kPreAlloc: {
         std::vector<std::size_t> task_candidates(chunk_tasks, 0);
-        std::vector<std::vector<Emit>> task_emits(chunk_tasks);
         stats.kernel_cycles += device->LaunchKernelAsync(
             compute_stream, chunk_tasks,
             [&](gpusim::WarpCtx& w, std::size_t i) {
               const WarpTask& task = tasks[chunk_begin + i];
-              std::vector<Emit>& local = task_emits[i];
+              std::vector<ExtensionEmit>& local = slot(i);
               task_candidates[i] = generate(w, task.lo, task.hi, &local);
               // Scattered writes into the worst-case slots.
               w.DeviceWrite(local.size() * kEntryBytes);
@@ -453,6 +488,57 @@ ExtensionOptions CompiledLevel::Resolve(
   return options;
 }
 
+void FilterVertexCandidates(gpusim::WarpCtx& warp, GraphAccessor* accessor,
+                            const CompiledLevel& level, RowIndex row,
+                            std::span<const Unit> emb,
+                            std::span<const VertexId> cands,
+                            std::vector<ExtensionEmit>* out) {
+  const int len = static_cast<int>(emb.size());
+  if (level.enforce_injective || level.require_ascending) {
+    warp.ChargeSimtWork(cands.size() * len, 0.5);
+  }
+  const bool labeled = level.candidate_label != graph::Pattern::kAnyLabel;
+  if (labeled) {
+    // Warp-coalesced label fetch for the whole candidate list.
+    accessor->ChargeLabelsBatch(warp, cands);
+  }
+  std::span<const VertexId> kept = cands;
+  if (level.require_ascending) {
+    // The sorted candidates above the row's largest unit: each exceeds
+    // every unit of the row, so it is also distinct from all of them.
+    const Unit top = *std::max_element(emb.begin(), emb.end());
+    kept = cands.subspan(static_cast<std::size_t>(
+        std::upper_bound(cands.begin(), cands.end(), top) - cands.begin()));
+    if (!labeled && level.restrictions.empty()) {
+      for (VertexId cand : kept) out->push_back({cand, row});
+      return;
+    }
+  }
+  const bool injective = level.enforce_injective && !level.require_ascending;
+  const graph::Graph& g = accessor->graph();
+  for (VertexId cand : kept) {
+    if (injective && std::find(emb.begin(), emb.end(), cand) != emb.end()) {
+      continue;
+    }
+    if (labeled && g.label(cand) != level.candidate_label) {
+      continue;  // label traffic charged batched above
+    }
+    if (!level.restrictions.empty()) {
+      warp.ChargeCompute(kPostFilterCycles);
+      bool ordered = true;
+      for (const SymmetryRestriction& r : level.restrictions) {
+        if (r.larger_pos == len ? !(emb[r.smaller_pos] < cand)
+                                : !(cand < emb[r.larger_pos])) {
+          ordered = false;
+          break;
+        }
+      }
+      if (!ordered) continue;
+    }
+    out->push_back({cand, row});
+  }
+}
+
 Result<ExtensionStats> VertexExtend(EmbeddingTable* table,
                                     GraphAccessor* accessor,
                                     const CompiledLevel& level,
@@ -476,7 +562,6 @@ Result<ExtensionStats> VertexExtend(EmbeddingTable* table,
   const ExtensionOptions options = level.Resolve(engine_options);
 
   const graph::Graph& g = accessor->graph();
-  Flattened flat = Flatten(*table);
 
   // Positions actually used to produce candidates.
   std::vector<int> positions = level.intersect_positions;
@@ -487,13 +572,12 @@ Result<ExtensionStats> VertexExtend(EmbeddingTable* table,
   }
 
   // Frontier for the self-adaptive planner: every adjacency list the
-  // kernels will touch, with multiplicity.
+  // kernels will touch, with multiplicity, counted in row-major order.
   {
     std::unordered_map<VertexId, uint64_t> times;
-    for (std::size_t r = 0; r < flat.rows; ++r) {
-      std::span<const Unit> row = flat.row(r);
+    ForEachRow(*table, [&](std::span<const Unit> row) {
       for (int p : positions) ++times[row[p]];
-    }
+    });
     std::vector<std::pair<VertexId, uint64_t>> frontier(times.begin(),
                                                         times.end());
     accessor->PlanExtension(frontier);
@@ -518,69 +602,18 @@ Result<ExtensionStats> VertexExtend(EmbeddingTable* table,
   ExtensionStats group_stats;
   group_stats.groups = grouped ? tasks.size() : 0;
 
-  // Per-candidate filtering shared by both paths. Returns survivors.
-  auto filter_and_emit = [&](gpusim::WarpCtx& w, std::size_t row,
-                             std::span<const Unit> emb,
-                             std::span<const VertexId> cands,
-                             std::vector<Emit>* out) {
-    if (level.enforce_injective || level.require_ascending) {
-      w.ChargeSimtWork(cands.size() * len, 0.5);
-    }
-    if (level.candidate_label != graph::Pattern::kAnyLabel) {
-      // Warp-coalesced label fetch for the whole candidate list.
-      accessor->ChargeLabelsBatch(w, cands);
-    }
-    for (VertexId cand : cands) {
-      if (level.require_ascending) {
-        bool ascending = true;
-        for (Unit u : emb) {
-          if (cand <= u) {
-            ascending = false;
-            break;
-          }
-        }
-        if (!ascending) continue;
-      }
-      if (level.enforce_injective) {
-        bool distinct = true;
-        for (Unit u : emb) {
-          if (u == cand) {
-            distinct = false;
-            break;
-          }
-        }
-        if (!distinct) continue;
-      }
-      if (level.candidate_label != graph::Pattern::kAnyLabel &&
-          g.label(cand) != level.candidate_label) {
-        continue;  // label traffic charged batched above
-      }
-      if (!level.restrictions.empty()) {
-        w.ChargeCompute(kPostFilterCycles);
-        bool ordered = true;
-        for (const SymmetryRestriction& r : level.restrictions) {
-          if (r.larger_pos == len ? !(emb[r.smaller_pos] < cand)
-                                  : !(cand < emb[r.larger_pos])) {
-            ordered = false;
-            break;
-          }
-        }
-        if (!ordered) continue;
-      }
-      out->push_back({cand, static_cast<RowIndex>(row)});
-    }
-  };
-
   RowRangeGenerator generate = [&](gpusim::WarpCtx& w, std::size_t lo,
                                    std::size_t hi,
-                                   std::vector<Emit>* out) -> std::size_t {
+                                   std::vector<ExtensionEmit>* out)
+      -> std::size_t {
     std::size_t raw_candidates = 0;
     ChargeTableRead(w, *table, lo, hi);
-    std::vector<VertexId> merged, scratch, cands;
+    TaskScratch& s = ThreadScratch();
+    ReadRows(*table, lo, hi, &s.rows);
     if (grouped) {
       // One warp per group: hoist the prefix intersection L_m. A single
       // prefix list is used as read, with its bitmap if it has one.
-      std::span<const Unit> prefix = flat.row(lo);
+      std::span<const Unit> prefix = s.rows.row(lo);
       graph::VertexSet lm;
       bool first = true;
       for (int p : prefix_positions) {
@@ -590,9 +623,9 @@ Result<ExtensionStats> VertexExtend(EmbeddingTable* table,
           first = false;
           continue;
         }
-        IntersectAdaptive(w, lm, adj, &scratch);
-        merged.swap(scratch);
-        lm = merged;
+        IntersectAdaptive(w, lm, adj, &s.scratch);
+        s.merged.swap(s.scratch);
+        lm = s.merged;
       }
       // A multi-row group without a hub's bitmap of L_m marks L_m in the
       // host thread's bitmap once, so each row's list can probe it.
@@ -602,21 +635,22 @@ Result<ExtensionStats> VertexExtend(EmbeddingTable* table,
         lm = marked->set();
       }
       for (std::size_t r = lo; r < hi; ++r) {
-        std::span<const Unit> emb = flat.row(r);
+        std::span<const Unit> emb = s.rows.row(r);
         std::span<const VertexId> row_cands = lm.ids;
         if (last_included) {
           IntersectAdaptive(w, lm, accessor->ReadAdjacency(w, emb[len - 1]),
-                            &cands);
-          row_cands = cands;
+                            &s.cands);
+          row_cands = s.cands;
         } else {
           w.ChargeSimtWork(lm.ids.size(), 0.25);
         }
         raw_candidates += row_cands.size();
-        filter_and_emit(w, r, emb, row_cands, out);
+        FilterVertexCandidates(w, accessor, level, static_cast<RowIndex>(r),
+                               emb, row_cands, out);
       }
     } else {
       for (std::size_t r = lo; r < hi; ++r) {
-        std::span<const Unit> emb = flat.row(r);
+        std::span<const Unit> emb = s.rows.row(r);
         graph::VertexSet set;
         bool first = true;
         for (int p : positions) {
@@ -627,15 +661,16 @@ Result<ExtensionStats> VertexExtend(EmbeddingTable* table,
             continue;
           }
           if (union_mode) {
-            UnionSorted(w, set.ids, adj.ids, &scratch);
+            UnionSorted(w, set.ids, adj.ids, &s.scratch);
           } else {
-            IntersectAdaptive(w, set, adj, &scratch);
+            IntersectAdaptive(w, set, adj, &s.scratch);
           }
-          merged.swap(scratch);
-          set = merged;
+          s.merged.swap(s.scratch);
+          set = s.merged;
         }
         raw_candidates += set.ids.size();
-        filter_and_emit(w, r, emb, set.ids, out);
+        FilterVertexCandidates(w, accessor, level, static_cast<RowIndex>(r),
+                               emb, set.ids, out);
       }
     }
     return raw_candidates;
@@ -748,8 +783,6 @@ Result<ExtensionStats> EdgeExtend(EmbeddingTable* table,
   GAMMA_CHECK(!g.edge_list().empty()) << "edge index required";
   const int len = table->length();
 
-  Flattened flat = Flatten(*table);
-
   // Vertex set of each embedding (host-side truth; charged reads happen in
   // the kernel via ReadEdgeEndpoints).
   auto verts_of = [&g](std::span<const Unit> edges,
@@ -764,14 +797,14 @@ Result<ExtensionStats> EdgeExtend(EmbeddingTable* table,
     }
   };
 
-  // Frontier: adjacency of every embedding vertex.
+  // Frontier: adjacency of every embedding vertex, in row-major order.
   {
     std::unordered_map<VertexId, uint64_t> times;
     std::vector<VertexId> verts;
-    for (std::size_t r = 0; r < flat.rows; ++r) {
-      verts_of(flat.row(r), &verts);
+    ForEachRow(*table, [&](std::span<const Unit> row) {
+      verts_of(row, &verts);
       for (VertexId v : verts) ++times[v];
-    }
+    });
     std::vector<std::pair<VertexId, uint64_t>> frontier(times.begin(),
                                                         times.end());
     accessor->PlanExtension(frontier);
@@ -789,7 +822,7 @@ Result<ExtensionStats> EdgeExtend(EmbeddingTable* table,
                              const std::vector<graph::EdgeId>& cands,
                              CanonicalRowContext& canon,
                              std::vector<graph::EdgeId>& joined,
-                             std::vector<Emit>* out) {
+                             std::vector<ExtensionEmit>* out) {
     if (spec.canonical_only) canon.Reset(emb);
     if (spec.query != nullptr) {
       joined.assign(emb.begin(), emb.end());
@@ -841,22 +874,25 @@ Result<ExtensionStats> EdgeExtend(EmbeddingTable* table,
 
   RowRangeGenerator generate = [&](gpusim::WarpCtx& w, std::size_t lo,
                                    std::size_t hi,
-                                   std::vector<Emit>* out) -> std::size_t {
+                                   std::vector<ExtensionEmit>* out)
+      -> std::size_t {
     std::size_t raw_candidates = 0;
     ChargeTableRead(w, *table, lo, hi);
+    RowBlock& block = ThreadScratch().rows;
+    ReadRows(*table, lo, hi, &block);
     std::vector<VertexId> verts, last_verts;
     std::vector<graph::EdgeId> base, extra, cands, joined;
     CanonicalRowContext canon(g);
     if (grouped) {
       // Hoist the shared prefix's incident edges.
-      std::span<const Unit> prefix = flat.row(lo);
+      std::span<const Unit> prefix = block.row(lo);
       verts_of(prefix.subspan(0, len - 1), &verts);
       for (int j = 0; j + 1 < len; ++j) {
         (void)accessor->ReadEdgeEndpoints(w, prefix[j]);
       }
       gather(w, verts, &base);
       for (std::size_t r = lo; r < hi; ++r) {
-        std::span<const Unit> emb = flat.row(r);
+        std::span<const Unit> emb = block.row(r);
         const graph::Edge& last = g.edge_list()[emb[len - 1]];
         (void)accessor->ReadEdgeEndpoints(w, emb[len - 1]);
         last_verts.clear();
@@ -875,7 +911,7 @@ Result<ExtensionStats> EdgeExtend(EmbeddingTable* table,
       }
     } else {
       for (std::size_t r = lo; r < hi; ++r) {
-        std::span<const Unit> emb = flat.row(r);
+        std::span<const Unit> emb = block.row(r);
         accessor->ChargeEdgeEndpointsBatch(w, emb[0], emb.size());
         verts_of(emb, &verts);
         gather(w, verts, &cands);

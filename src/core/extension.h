@@ -110,6 +110,27 @@ struct CompiledLevel {
   ExtensionOptions Resolve(const ExtensionOptions& engine) const;
 };
 
+/// One extension result: the new column's unit and the row it extends.
+struct ExtensionEmit {
+  Unit unit;
+  RowIndex parent;
+};
+
+/// VertexExtend's filter for one row: appends to `out`, in order, each
+/// candidate of the sorted list `cands` that `level` accepts for the row
+/// `emb` (ascending order, injectivity, label, restrictions), paired with
+/// `row`. The charge is one warp-parallel compare of every candidate with
+/// every matched unit when order or injectivity is required, a batched
+/// label fetch when a label is, and a fixed cost for each candidate that
+/// reaches the restriction check. Under `require_ascending` the survivors
+/// are the suffix of `cands` above the row's largest unit, found by one
+/// binary search; they exceed every unit, so need no injectivity test.
+void FilterVertexCandidates(gpusim::WarpCtx& warp, GraphAccessor* accessor,
+                            const CompiledLevel& level, RowIndex row,
+                            std::span<const Unit> emb,
+                            std::span<const graph::VertexId> cands,
+                            std::vector<ExtensionEmit>* out);
+
 /// Candidate specification for edge extension (e-ET).
 struct EdgeExtensionSpec {
   /// Keep only canonical insertion sequences, so every connected edge set

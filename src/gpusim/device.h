@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <string>
 #include <utility>
 #include <vector>
@@ -313,6 +312,15 @@ class Device {
   /// Peak device-memory usage including the UM page buffer reservation.
   std::size_t PeakDeviceBytes() const { return memory_.peak_used_bytes(); }
 
+  /// Warp tasks of one launch that may have run but not yet been replayed:
+  /// the executor's log-slot count, or 1 without a pool. Task t's deferred
+  /// callbacks run before task t + task_window() starts, so a kernel that
+  /// hands per-task state to its callbacks needs only this many buffers,
+  /// reused as slot t % task_window().
+  std::size_t task_window() const {
+    return task_logs_.empty() ? 1 : task_logs_.size();
+  }
+
   /// Runs `num_tasks` warp tasks through `fn(WarpCtx&, task_id)` on the
   /// default stream. Returns the kernel's simulated cycles (also added to
   /// the clock). `name` labels the kernel in the trace.
@@ -343,12 +351,13 @@ class Device {
     const int slots = std::max(1, params_.num_warp_slots);
     // Min-heap of (finish time, slot) pairs: greedy list scheduling gives
     // the makespan of the warp tasks over the resident-warp slots; the
-    // slot index lets the timeline recorder draw per-slot occupancy.
-    using SlotTime = std::pair<double, int>;
-    std::priority_queue<SlotTime, std::vector<SlotTime>,
-                        std::greater<SlotTime>>
-        finish;
-    for (int i = 0; i < slots; ++i) finish.push({0.0, i});
+    // slot index lets the timeline recorder draw per-slot occupancy. The
+    // pairs are distinct, so the order is total and the root sequence is
+    // that of any min-priority queue. Ascending slots already form a heap.
+    std::vector<SlotTime> finish(static_cast<std::size_t>(slots));
+    for (int i = 0; i < slots; ++i) {
+      finish[static_cast<std::size_t>(i)] = {0.0, i};
+    }
     const bool record_slots = trace_recorder_.enabled();
     // Per-slot busy intervals, coalesced: adjacent tasks merge into one
     // run, but a gap (a slot idle between tasks) starts a new run, so the
@@ -368,10 +377,9 @@ class Device {
     // the slot heap, its resource-class split and its slot run.
     auto account = [&](const WarpCtx& warp) {
       launch_pcie_bytes += warp.pcie_bytes();
-      auto [start, slot] = finish.top();
-      finish.pop();
-      double end = start + warp.cycles();
-      finish.push({end, slot});
+      const auto [start, slot] = finish.front();
+      const double end = start + warp.cycles();
+      ReplaceHeapRoot(finish, {end, slot});
       if (record_cmds) {
         auto& busy = slot_busy[static_cast<std::size_t>(slot)];
         const ResourceCycles& task = warp.class_cycles();
@@ -423,13 +431,9 @@ class Device {
       }
     }
     if (sanitizer_ != nullptr) sanitizer_->EndKernel();
-    double makespan = 0.0;
-    int busiest_slot = 0;
-    while (!finish.empty()) {
-      makespan = finish.top().first;
-      busiest_slot = finish.top().second;
-      finish.pop();
-    }
+    // The last slot to finish; a tie goes to the larger slot index.
+    const auto [makespan, busiest_slot] =
+        *std::max_element(finish.begin(), finish.end());
     const double work_start = start_cycles + params_.kernel_launch_cycles;
     double pcie_cycles = static_cast<double>(launch_pcie_bytes) /
                          params_.pcie_bytes_per_cycle;
@@ -490,6 +494,22 @@ class Device {
   }
 
  private:
+  /// A warp slot's finish time and index, ordered lexicographically.
+  using SlotTime = std::pair<double, int>;
+
+  /// Replaces the root of the min-heap `heap` by `x` and sifts it down.
+  static void ReplaceHeapRoot(std::vector<SlotTime>& heap, SlotTime x) {
+    const std::size_t n = heap.size();
+    std::size_t i = 0;
+    for (std::size_t child = 1; child < n; child = 2 * i + 1) {
+      if (child + 1 < n && heap[child + 1] < heap[child]) ++child;
+      if (!(heap[child] < x)) break;
+      heap[i] = heap[child];
+      i = child;
+    }
+    heap[i] = x;
+  }
+
   /// A command record with the fields every kind shares: kind, stream,
   /// name, the innermost open phase, and the [start, end] window. Callers
   /// add their kind's cost decomposition before appending it.

@@ -21,12 +21,14 @@
 
 #include "baselines/cpu_ref.h"
 #include "core/compiled_engine.h"
+#include "core/extension.h"
 #include "core/gamma.h"
 #include "core/pattern_compiler.h"
 #include "core/pattern_table.h"
 #include "graph/canonical.h"
 #include "graph/generators.h"
 #include "graph/pattern.h"
+#include "gpusim/critpath.h"
 #include "gpusim/device.h"
 
 namespace gpm {
@@ -218,6 +220,131 @@ TEST(DeterminismTest, ScratchBitmapCarriesNothingAcrossRuns) {
     }
   }
   ExpectBitIdentical(serial[0], serial[2], "large graph, first vs last run");
+}
+
+// Extension results cross from a task's recording to its replay in emit
+// slots that tasks and launches reuse: task t of a launch fills slot
+// t % task_window(). Every write strategy, with and without pre-merge, at
+// rows_per_warp 1 and 16, through vertex extensions (two materializing
+// levels, then a count-only one) and an edge extension. At rows_per_warp 1
+// the launches run thousands of tasks, far more than the 256 slots of
+// four host threads; small chunks make each extension several launches;
+// and most rows of the clique levels emit nothing. The tables, counters,
+// clock and command log must be bit-identical to one thread.
+struct SlotRun {
+  gpusim::DeviceStats stats;
+  double cycles = 0;
+  std::size_t counted = 0;
+  std::vector<std::vector<core::Unit>> vertex_rows;
+  std::vector<std::vector<core::Unit>> edge_rows;
+  std::vector<prof::CommandRecord> commands;
+};
+
+SlotRun RunExtensions(const graph::Graph& g, core::WriteStrategy strategy,
+                      bool pre_merge, std::size_t rows_per_warp,
+                      int host_threads) {
+  gpusim::SimParams params = TestParams(host_threads);
+  params.record_commands = true;
+  gpusim::Device device(params);
+  core::GammaOptions options;
+  options.extension.write_strategy = strategy;
+  options.extension.pre_merge = pre_merge;
+  options.extension.rows_per_warp = rows_per_warp;
+  options.extension.chunk_rows = 1500;
+  core::GammaEngine engine(&device, &g, options);
+  EXPECT_TRUE(engine.Prepare().ok());
+  SlotRun out;
+  auto vt = engine.InitVertexTable();
+  EXPECT_TRUE(vt.ok());
+  if (!vt.ok()) return out;
+  for (int len = 1; len <= 3; ++len) {
+    core::CompiledLevel level;
+    for (int j = 0; j < len; ++j) level.intersect_positions.push_back(j);
+    level.require_ascending = true;
+    level.count_only = len == 3;
+    auto r = engine.VertexExtension(vt.value().get(), level);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    if (r.ok() && level.count_only) out.counted = r.value().results;
+  }
+  out.vertex_rows = vt.value()->Materialize();
+  auto et = engine.InitEdgeTable();
+  EXPECT_TRUE(et.ok());
+  if (!et.ok()) return out;
+  auto r = engine.EdgeExtension(et.value().get(), core::EdgeExtensionSpec{});
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  out.edge_rows = et.value()->Materialize();
+  out.stats = device.stats().Snapshot();
+  out.cycles = device.now_cycles();
+  out.commands = device.critpath().commands();
+  return out;
+}
+
+void ExpectSameCommands(const std::vector<prof::CommandRecord>& a,
+                        const std::vector<prof::CommandRecord>& b,
+                        const std::string& label) {
+  ASSERT_EQ(a.size(), b.size()) << label;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const prof::CommandRecord& x = a[i];
+    const prof::CommandRecord& y = b[i];
+    const std::string at = label + ": command " + std::to_string(i);
+    EXPECT_EQ(x.kind, y.kind) << at;
+    EXPECT_EQ(x.stream, y.stream) << at;
+    EXPECT_EQ(x.name, y.name) << at;
+    EXPECT_EQ(x.phase, y.phase) << at;
+    EXPECT_EQ(x.start, y.start) << at;
+    EXPECT_EQ(x.end, y.end) << at;
+    EXPECT_EQ(x.makespan, y.makespan) << at;
+    EXPECT_TRUE(x.busy == y.busy) << at;
+    EXPECT_EQ(x.charge, y.charge) << at;
+    EXPECT_EQ(x.link_transfer, y.link_transfer) << at;
+    EXPECT_EQ(x.link_start, y.link_start) << at;
+    EXPECT_EQ(x.link_end, y.link_end) << at;
+    EXPECT_EQ(x.slot_busy_cycles, y.slot_busy_cycles) << at;
+    EXPECT_EQ(x.tasks, y.tasks) << at;
+    EXPECT_EQ(x.task_max_cycles, y.task_max_cycles) << at;
+    EXPECT_EQ(x.task_total_cycles, y.task_total_cycles) << at;
+  }
+}
+
+TEST(DeterminismTest, EmitSlotReuseIsBitIdentical) {
+  Rng rng(13);
+  graph::Graph g = graph::PowerLaw(1500, 9000, 0.6, &rng);
+  g.EnsureEdgeIndex();
+  for (core::WriteStrategy strategy :
+       {core::WriteStrategy::kNaiveTwoPass, core::WriteStrategy::kPreAlloc,
+        core::WriteStrategy::kDynamicAlloc}) {
+    for (bool pre_merge : {false, true}) {
+      for (std::size_t rows_per_warp : {std::size_t{1}, std::size_t{16}}) {
+        const std::string config =
+            std::string(core::WriteStrategyName(strategy)) +
+            (pre_merge ? ", pre-merge" : "") + ", rows_per_warp " +
+            std::to_string(rows_per_warp);
+        const SlotRun serial =
+            RunExtensions(g, strategy, pre_merge, rows_per_warp, 1);
+        EXPECT_EQ(serial.counted, baselines::CpuKClique(g, 4, {}).count)
+            << config;
+        EXPECT_FALSE(serial.vertex_rows.empty()) << config;
+        EXPECT_FALSE(serial.edge_rows.empty()) << config;
+        for (int host_threads : kPoolSizes) {
+          const std::string label = config + ", 1 vs " +
+                                    std::to_string(host_threads) +
+                                    " host threads";
+          const SlotRun pooled =
+              RunExtensions(g, strategy, pre_merge, rows_per_warp,
+                            host_threads);
+          for (const auto& f : gpusim::DeviceStats::Fields()) {
+            EXPECT_EQ(serial.stats.*f.member, pooled.stats.*f.member)
+                << label << ": counter " << f.name << " diverged";
+          }
+          EXPECT_EQ(serial.cycles, pooled.cycles) << label;
+          EXPECT_EQ(serial.counted, pooled.counted) << label;
+          EXPECT_TRUE(serial.vertex_rows == pooled.vertex_rows) << label;
+          EXPECT_TRUE(serial.edge_rows == pooled.edge_rows) << label;
+          ExpectSameCommands(serial.commands, pooled.commands, label);
+        }
+      }
+    }
+  }
 }
 
 // With the double-buffered pipeline (num_streams >= 2) every extension

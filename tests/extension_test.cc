@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "core/extension.h"
 #include "core/gamma.h"
@@ -158,6 +161,187 @@ TEST(VertexExtensionTest, RestrictionsApplied) {
     EXPECT_EQ(expected.size(), g.num_edges());
     EXPECT_EQ(got, expected) << "ascending=" << ascending;
   }
+}
+
+// The per-candidate filter FilterVertexCandidates replaced, kept as its
+// reference: every candidate is compared with the whole row for ascending
+// order and for injectivity. 4.0 is the extension's per-candidate
+// restriction charge.
+void ReferenceFilter(gpusim::WarpCtx& w, GraphAccessor* accessor,
+                     const CompiledLevel& level, RowIndex row,
+                     std::span<const Unit> emb,
+                     std::span<const graph::VertexId> cands,
+                     std::vector<ExtensionEmit>* out) {
+  const graph::Graph& g = accessor->graph();
+  const int len = static_cast<int>(emb.size());
+  if (level.enforce_injective || level.require_ascending) {
+    w.ChargeSimtWork(cands.size() * len, 0.5);
+  }
+  if (level.candidate_label != graph::Pattern::kAnyLabel) {
+    accessor->ChargeLabelsBatch(w, cands);
+  }
+  for (graph::VertexId cand : cands) {
+    if (level.require_ascending) {
+      bool ascending = true;
+      for (Unit u : emb) {
+        if (cand <= u) {
+          ascending = false;
+          break;
+        }
+      }
+      if (!ascending) continue;
+    }
+    if (level.enforce_injective) {
+      bool distinct = true;
+      for (Unit u : emb) {
+        if (u == cand) {
+          distinct = false;
+          break;
+        }
+      }
+      if (!distinct) continue;
+    }
+    if (level.candidate_label != graph::Pattern::kAnyLabel &&
+        g.label(cand) != level.candidate_label) {
+      continue;
+    }
+    if (!level.restrictions.empty()) {
+      w.ChargeCompute(4.0);
+      bool ordered = true;
+      for (const SymmetryRestriction& r : level.restrictions) {
+        if (r.larger_pos == len ? !(emb[r.smaller_pos] < cand)
+                                : !(cand < emb[r.larger_pos])) {
+          ordered = false;
+          break;
+        }
+      }
+      if (!ordered) continue;
+    }
+    out->push_back({cand, row});
+  }
+}
+
+// FilterVertexCandidates keeps exactly the reference's survivors, in
+// order, and records exactly its charges, op by op, for seeded sorted
+// candidate lists (empty, all below or all above the row's largest unit,
+// holding every row unit, and mixed) under every combination of
+// ascending order, injectivity, a candidate label and restrictions on
+// either side of the candidate.
+TEST(VertexExtensionTest, BoundedFilterMatchesPerCandidateReference) {
+  Rng rng(61);
+  graph::Graph g = graph::ErdosRenyi(64, 300, &rng);
+  graph::AssignLabelsZipf(&g, 3, 0.3, &rng);
+  gpusim::Device device(TestParams());
+  GammaEngine engine(&device, &g, {});
+  ASSERT_TRUE(engine.Prepare().ok());
+  GraphAccessor* accessor = &engine.accessor();
+  const uint64_t n = g.num_vertices();
+  std::size_t cases = 0, kept = 0, dropped = 0, restricted = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const std::size_t len = 1 + trial % 5;
+    std::vector<Unit> emb;
+    while (emb.size() < len) {
+      const Unit v = static_cast<Unit>(rng.NextBounded(n));
+      if (std::find(emb.begin(), emb.end(), v) == emb.end()) emb.push_back(v);
+    }
+    const Unit top = *std::max_element(emb.begin(), emb.end());
+    // Each vertex joins a list with probability 1/2 when `pick` allows it.
+    auto draw = [&](auto pick) {
+      std::vector<graph::VertexId> list;
+      for (graph::VertexId v = 0; v < n; ++v) {
+        if (pick(v) && rng.NextBounded(2) == 0) list.push_back(v);
+      }
+      return list;
+    };
+    std::vector<std::vector<graph::VertexId>> lists = {
+        {},
+        draw([&](graph::VertexId v) { return v <= top; }),
+        draw([&](graph::VertexId v) { return v > top; }),
+        draw([](graph::VertexId) { return true; }),
+    };
+    // Every row unit, the largest included, among random others.
+    std::vector<graph::VertexId> with_row = draw([](graph::VertexId) {
+      return true;
+    });
+    with_row.insert(with_row.end(), emb.begin(), emb.end());
+    std::sort(with_row.begin(), with_row.end());
+    with_row.erase(std::unique(with_row.begin(), with_row.end()),
+                   with_row.end());
+    lists.push_back(with_row);
+
+    const int cand_pos = static_cast<int>(len);
+    const int other = static_cast<int>(rng.NextBounded(len));
+    const std::vector<std::vector<SymmetryRestriction>> restriction_sets = {
+        {},
+        {{other, cand_pos}},
+        {{cand_pos, other}},
+        {{0, cand_pos}, {cand_pos, static_cast<int>(len) - 1}},
+    };
+    for (const auto& cands : lists) {
+      for (bool ascending : {false, true}) {
+        for (bool injective : {false, true}) {
+          for (graph::Label label :
+               {graph::Pattern::kAnyLabel, graph::Label{0}, graph::Label{2}}) {
+            for (const auto& restrictions : restriction_sets) {
+              CompiledLevel level;
+              level.require_ascending = ascending;
+              level.enforce_injective = injective;
+              level.candidate_label = label;
+              level.restrictions = restrictions;
+              const RowIndex row = static_cast<RowIndex>(trial);
+              // Both append behind what the buffer already holds.
+              std::vector<ExtensionEmit> want = {{7, 3}}, got = {{7, 3}};
+              gpusim::WarpTaskLog want_log, got_log;
+              {
+                gpusim::WarpCtx w(&device, 0, &want_log);
+                ReferenceFilter(w, accessor, level, row, emb, cands, &want);
+              }
+              {
+                gpusim::WarpCtx w(&device, 0, &got_log);
+                FilterVertexCandidates(w, accessor, level, row, emb, cands,
+                                       &got);
+              }
+              const std::string label_text =
+                  "trial " + std::to_string(trial) + ", " +
+                  std::to_string(cands.size()) + " candidates, ascending=" +
+                  std::to_string(ascending) + " injective=" +
+                  std::to_string(injective) + " label=" +
+                  std::to_string(label) + " restrictions=" +
+                  std::to_string(restrictions.size());
+              ASSERT_EQ(got.size(), want.size()) << label_text;
+              for (std::size_t i = 0; i < got.size(); ++i) {
+                ASSERT_EQ(got[i].unit, want[i].unit) << label_text;
+                ASSERT_EQ(got[i].parent, want[i].parent) << label_text;
+              }
+              ASSERT_EQ(got_log.ops.size(), want_log.ops.size())
+                  << label_text;
+              for (std::size_t i = 0; i < got_log.ops.size(); ++i) {
+                const gpusim::WarpOp& a = got_log.ops[i];
+                const gpusim::WarpOp& b = want_log.ops[i];
+                ASSERT_EQ(a.kind, b.kind) << label_text << ", op " << i;
+                ASSERT_EQ(a.id, b.id) << label_text << ", op " << i;
+                ASSERT_EQ(a.a, b.a) << label_text << ", op " << i;
+                ASSERT_EQ(a.b, b.b) << label_text << ", op " << i;
+                ASSERT_EQ(a.d, b.d) << label_text << ", op " << i;
+              }
+              EXPECT_TRUE(got_log.callbacks.empty());
+              ++cases;
+              kept += want.size() - 1;
+              dropped += cands.size() - (want.size() - 1);
+              for (const gpusim::WarpOp& op : want_log.ops) {
+                restricted += op.kind == gpusim::WarpOp::kChargeCompute;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 60u * 5 * 2 * 2 * 3 * 4);
+  // Both verdicts and the restriction charge are well represented.
+  EXPECT_GT(kept, 10000u);
+  EXPECT_GT(dropped, 10000u);
+  EXPECT_GT(restricted, 5000u);
 }
 
 TEST(VertexExtensionTest, PreAllocFailsWhenWorstCaseTooLarge) {

@@ -6,9 +6,12 @@
 #include <chrono>
 #include <limits>
 #include <list>
+#include <queue>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -502,6 +505,125 @@ TEST(DeviceTest, MakespanScalesWithWarpSlots) {
   double t64 = d64.LaunchKernel(64, work);
   // 64 equal tasks: serial is ~64x the parallel makespan (plus overhead).
   EXPECT_GT(t1, t64 * 30);
+}
+
+// The launch's slot scheduler against a std::priority_queue of (finish,
+// slot) pairs: the kernel record's makespan, busiest slot split and
+// per-slot busy cycles, and the timeline's slot runs, must be exactly the
+// reference's. Runs of tied tasks (every slot free at once) and of
+// zero-cycle tasks (a slot that stays the earliest free) make the tie
+// order observable; compute and DRAM charges give slots distinct class
+// splits.
+TEST(DeviceTest, SlotHeapMatchesPriorityQueueReference) {
+  for (int slots : {1, 2, 3, 64}) {
+    for (int host_threads : {1, 2}) {
+      const std::string label = std::to_string(slots) + " slots, " +
+                                std::to_string(host_threads) +
+                                " host threads";
+      Rng rng(static_cast<uint64_t>(slots * 10 + host_threads));
+      // Per task: compute cycles and DRAM bytes. Blocks of 40 tasks cycle
+      // through tied, zero-cycle and random costs.
+      std::vector<std::pair<double, std::size_t>> costs;
+      for (int i = 0; i < 400; ++i) {
+        switch (i / 40 % 3) {
+          case 0:
+            costs.push_back({100.0, 0});
+            break;
+          case 1:
+            costs.push_back({0.0, 0});
+            break;
+          default:
+            costs.push_back({static_cast<double>(rng.NextBounded(500)),
+                             rng.NextBounded(3) * 4096});
+        }
+      }
+      auto run = [&costs](WarpCtx& w, std::size_t t) {
+        if (costs[t].first > 0) w.ChargeCompute(costs[t].first);
+        if (costs[t].second > 0) w.DeviceRead(costs[t].second);
+      };
+
+      SimParams params = SmallParams();
+      params.num_warp_slots = slots;
+      params.host_threads = host_threads;
+      params.record_commands = true;
+      params.record_timeline = true;
+
+      // Reference: each task's cycles and class split on an immediate
+      // context, scheduled through a priority queue.
+      Device scratch(params);
+      using SlotTime = std::pair<double, int>;
+      std::priority_queue<SlotTime, std::vector<SlotTime>,
+                          std::greater<SlotTime>>
+          finish;
+      for (int i = 0; i < slots; ++i) finish.push({0.0, i});
+      std::vector<ResourceCycles> busy(static_cast<std::size_t>(slots));
+      std::vector<std::vector<std::pair<double, double>>> runs(
+          static_cast<std::size_t>(slots));
+      for (std::size_t t = 0; t < costs.size(); ++t) {
+        WarpCtx w(&scratch, t);
+        run(w, t);
+        auto [start, slot] = finish.top();
+        finish.pop();
+        const double end = start + w.cycles();
+        finish.push({end, slot});
+        for (int c = 0; c < kNumResourceClasses; ++c) {
+          busy[static_cast<std::size_t>(slot)][c] += w.class_cycles()[c];
+        }
+        auto& slot_runs = runs[static_cast<std::size_t>(slot)];
+        if (end > start) {
+          if (!slot_runs.empty() && slot_runs.back().second == start) {
+            slot_runs.back().second = end;
+          } else {
+            slot_runs.push_back({start, end});
+          }
+        }
+      }
+      double makespan = 0;
+      int busiest = 0;
+      while (!finish.empty()) {
+        std::tie(makespan, busiest) = finish.top();
+        finish.pop();
+      }
+
+      Device device(params);
+      device.LaunchKernel(costs.size(), run, "heap");
+      ASSERT_EQ(device.critpath().commands().size(), 1u) << label;
+      const prof::CommandRecord& rec = device.critpath().commands()[0];
+      EXPECT_EQ(rec.makespan, makespan) << label;
+      for (int c = 0; c < kNumResourceClasses; ++c) {
+        EXPECT_EQ(rec.busy[c], busy[static_cast<std::size_t>(busiest)][c])
+            << label << ", class " << c;
+      }
+      ASSERT_EQ(rec.slot_busy_cycles.size(), static_cast<std::size_t>(slots));
+      for (int s = 0; s < slots; ++s) {
+        double total = 0;
+        for (int c = 0; c < kNumResourceClasses; ++c) {
+          total += busy[static_cast<std::size_t>(s)][c];
+        }
+        EXPECT_EQ(rec.slot_busy_cycles[static_cast<std::size_t>(s)], total)
+            << label << ", slot " << s;
+      }
+      std::vector<std::vector<std::pair<double, double>>> got(
+          static_cast<std::size_t>(slots));
+      const double work_start = params.kernel_launch_cycles;
+      for (const TraceRecorder::Event& e : device.trace().events()) {
+        if (e.kind != TraceRecorder::Kind::kWarpSlot) continue;
+        got[static_cast<std::size_t>(e.track)].push_back(
+            {e.begin_cycles, e.end_cycles});
+      }
+      for (int s = 0; s < slots; ++s) {
+        const auto& want = runs[static_cast<std::size_t>(s)];
+        const auto& have = got[static_cast<std::size_t>(s)];
+        ASSERT_EQ(have.size(), want.size()) << label << ", slot " << s;
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ(have[i].first, work_start + want[i].first)
+              << label << ", slot " << s << ", run " << i;
+          EXPECT_EQ(have[i].second, work_start + want[i].second)
+              << label << ", slot " << s << ", run " << i;
+        }
+      }
+    }
+  }
 }
 
 TEST(DeviceTest, PcieOverlapsWithCompute) {
