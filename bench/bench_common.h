@@ -330,8 +330,11 @@ inline void WriteBenchTrace(const gpusim::Device& device) {
     return;
   }
   out << device.trace().ToChromeTraceJson(device.params());
-  std::printf("timeline written to %s (%zu events)\n", path.c_str(),
-              device.trace().events().size());
+  std::printf(
+      "timeline written to %s (spans of %zu commands, %zu page/adaptivity "
+      "instants)\n",
+      path.c_str(), device.critpath().commands().size(),
+      device.trace().events().size());
 }
 
 /// Reports one completed system run: simulated time becomes the manual

@@ -46,6 +46,10 @@ using namespace gpm;
 constexpr std::array<std::string_view, 8> kDocuments = {
     "plan",    "profile",    "trace",    "critpath",
     "metrics", "adaptivity", "planprof", "check"};
+constexpr std::array<std::string_view, 5> kPlacements = {
+    "hybrid", "unified", "zerocopy", "device", "explicit"};
+constexpr std::array<std::string_view, 3> kStrategies = {"dynamic", "naive",
+                                                         "prealloc"};
 
 struct CliOptions {
   std::string dataset = "CP";
@@ -141,8 +145,9 @@ void Usage() {
       "                     bit-identical)\n"
       "  --stats            print hardware counters\n"
       "  --trace            print per-kernel cycle breakdown\n"
-      "  --trace-capacity N cap buffered trace events / timeline commands\n"
-      "                     (default 65536 events, 2^20 commands; overflow\n"
+      "  --trace-capacity N cap the timeline's page/adaptivity instants and\n"
+      "                     the command log its spans come from (default\n"
+      "                     65536 instants, 2^20 commands; overflow\n"
       "                     counted, not stored)\n"
       "  --metrics-interval N  metrics sampling interval in simulated\n"
       "                     cycles (default 100000; 0 keeps only the\n"
@@ -200,6 +205,13 @@ bool Parse(int argc, char** argv, CliOptions* o) {
     };
     if (a == "--dataset") {
       o->dataset = next();
+      if (value_ok && std::ranges::none_of(
+                          graph::AllDatasets(),
+                          [&](const graph::DatasetInfo& d) {
+                            return d.name == o->dataset;
+                          })) {
+        out_of_range("a Table II proxy name");
+      }
     } else if (a == "--graph") {
       o->graph_path = next();
     } else if (a == "--task") {
@@ -209,6 +221,7 @@ bool Parse(int argc, char** argv, CliOptions* o) {
       number(&o->k);
     } else if (a == "--query") {
       number(&o->query);
+      if (value_ok && (o->query < 1 || o->query > 3)) out_of_range("N in 1..3");
     } else if (a == "--pattern") {
       o->pattern_text = next();
     } else if (a == "--pattern-preset") {
@@ -232,8 +245,16 @@ bool Parse(int argc, char** argv, CliOptions* o) {
       number(&o->minsup);
     } else if (a == "--placement") {
       o->placement = next();
+      if (value_ok && std::ranges::find(kPlacements, o->placement) ==
+                          kPlacements.end()) {
+        out_of_range("hybrid, unified, zerocopy, device or explicit");
+      }
     } else if (a == "--strategy") {
       o->strategy = next();
+      if (value_ok && std::ranges::find(kStrategies, o->strategy) ==
+                          kStrategies.end()) {
+        out_of_range("dynamic, naive or prealloc");
+      }
     } else if (a == "--no-premerge") {
       o->pre_merge = false;
     } else if (a == "--streams") {
@@ -295,6 +316,16 @@ bool Parse(int argc, char** argv, CliOptions* o) {
       Usage();
       return false;
     }
+  }
+  // The audit shadows host-memory traffic, which only the host-resident
+  // placements have; refuse before any device work, not after the run.
+  if (value_ok && o->observe.contains("adaptivity") &&
+      (o->placement == "device" || o->placement == "explicit")) {
+    std::fprintf(stderr,
+                 "--observe adaptivity: placement %s has no host-memory "
+                 "traffic to audit\n",
+                 o->placement.c_str());
+    value_ok = false;
   }
   if (!value_ok) {
     Usage();
@@ -746,8 +777,11 @@ int main(int argc, char** argv) {
   if (o.observe.contains("trace") &&
       !WriteDocument(
           o, "trace", device.trace().ToChromeTraceJson(device.params()),
-          std::to_string(device.trace().events().size()) + " events, " +
-              std::to_string(device.trace().dropped_events()) +
+          "spans of " + std::to_string(device.critpath().commands().size()) +
+              " commands, " + std::to_string(device.trace().events().size()) +
+              " page/adaptivity instants, " +
+              std::to_string(device.critpath().dropped() +
+                             device.trace().dropped_events()) +
               " dropped; open in Perfetto")) {
     return 1;
   }
@@ -789,19 +823,12 @@ int main(int argc, char** argv) {
                   wi.projected_cycles, wi.speedup);
     }
   }
-  if (o.observe.contains("adaptivity")) {
-    if (engine->audit() == nullptr) {
-      std::fprintf(stderr,
-                   "--observe adaptivity: placement %s has no host-memory "
-                   "traffic to audit\n",
-                   o.placement.c_str());
-      return 1;
-    }
-    if (!WriteDocument(o, "adaptivity", engine->audit()->ToJson(),
-                       std::to_string(engine->audit()->records().size()) +
-                           " extension records")) {
-      return 1;
-    }
+  // Parse refused adaptivity for placements the engine does not audit.
+  if (o.observe.contains("adaptivity") &&
+      !WriteDocument(o, "adaptivity", engine->audit()->ToJson(),
+                     std::to_string(engine->audit()->records().size()) +
+                         " extension records")) {
+    return 1;
   }
   if (o.explain_analyze || o.observe.contains("planprof")) {
     core::PlanProfiler* prof = engine->plan_profiler();

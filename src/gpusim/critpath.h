@@ -57,6 +57,9 @@ struct CommandRecord {
   std::string phase;
   double start = 0;
   double end = 0;
+  /// kPhaseBegin only: opened by a PhaseScope, so the timeline draws the
+  /// phase (plan-profiler brackets stay off it).
+  bool phase_scope = false;
 
   // Kernel decomposition.
   double launch_cycles = 0;  // fixed dispatch overhead (compute class)
@@ -83,11 +86,14 @@ struct CommandRecord {
   int32_t wait_pred = -1;   // command whose completion the event marks
   double wait_cycles = 0;   // raw event timestamp (fallback when pred -1)
 
-  // Per-slot work distribution (kernels only). slot_busy_cycles[s] is the
-  // total busy cycles of warp slot s (folded over resource classes), one
-  // entry per resident-warp slot; the per-task extremes feed the plan
-  // profiler's load-imbalance histogram. Observation only: `Analyze`
-  // replays the timeline from the fields above and never reads these.
+  // Per-slot work distribution (kernels only). slot_busy_cycles[s] is
+  // warp slot s's final finish time on the launch's slot heap, one entry
+  // per resident-warp slot. Every task is ready at launch, so that is the
+  // slot's busy time and one gapless interval from the end of the launch
+  // overhead; the largest entry is the makespan. These and the per-task
+  // extremes feed the plan profiler's load-imbalance histogram and the
+  // timeline's slot tracks. Observation only: `Analyze` replays the
+  // timeline from the fields above and never reads these.
   std::vector<double> slot_busy_cycles;
   uint64_t tasks = 0;
   double task_max_cycles = 0;

@@ -14,6 +14,8 @@ Device::Device(SimParams params)
   // Page-level fault/hit/eviction events land on the timeline recorder,
   // stamped with the device clock (kernel-boundary resolution).
   unified_.BindTrace(&trace_recorder_, &clock_cycles_);
+  // The timeline's spans are a view of the command log.
+  trace_recorder_.BindLog(&critpath_);
   // Observability armed from params so harnesses that construct the
   // Device behind a helper (benches) can opt in without plumbing calls.
   if (params_.record_commands) critpath_.set_enabled(true);
@@ -126,10 +128,6 @@ double Device::CopyAsync(StreamId stream, std::size_t bytes,
   const double end = streams_.AcquireLink(ready, transfer);
   streams_.set_cycles(stream, end);
   clock_cycles_ = streams_.now_cycles();
-  if (trace_recorder_.enabled()) {
-    trace_recorder_.RecordSpan(TraceRecorder::Kind::kCopy, name, start, end,
-                               stream);
-  }
   if (record_cmds) {
     prof::CommandRecord rec =
         MakeCommand(prof::CommandRecord::Kind::kCopy, stream, name, start, end);

@@ -69,8 +69,10 @@ class Device {
   RunProfile& profile() { return profile_; }
   const RunProfile& profile() const { return profile_; }
 
-  /// Timeline recorder (kernel/copy/phase/warp-slot spans, UM page events).
-  /// Disabled by default; see TraceRecorder for the Chrome-trace export.
+  /// Timeline: UM page and adaptivity instants, with kernel, copy, phase
+  /// and warp-slot spans drawn from the command log. Disabled by default;
+  /// enabling it enables the log. See TraceRecorder for the Chrome-trace
+  /// export.
   TraceRecorder& trace() { return trace_recorder_; }
   const TraceRecorder& trace() const { return trace_recorder_; }
 
@@ -142,14 +144,17 @@ class Device {
   void BeginSortActivity() { ++sort_depth_; }
   void EndSortActivity() { --sort_depth_; }
 
-  /// Phase bracket, driven by PhaseScope. The stack is always maintained
-  /// (cheap); begin/end marker records are appended only while the command
-  /// log is enabled, so the analyzer can attribute spans to phases.
-  void BeginPhaseMark(const std::string& name) {
+  /// Phase bracket, driven by PhaseScope (`scope`, which the timeline
+  /// draws) and the plan profiler. The stack is always maintained (cheap);
+  /// begin/end marker records are appended only while the command log is
+  /// enabled, so the analyzer can attribute spans to phases.
+  void BeginPhaseMark(const std::string& name, bool scope = false) {
     if (critpath_.enabled()) {
-      critpath_.Append(MakeCommand(prof::CommandRecord::Kind::kPhaseBegin,
-                                   kDefaultStream, name, clock_cycles_,
-                                   clock_cycles_));
+      prof::CommandRecord rec =
+          MakeCommand(prof::CommandRecord::Kind::kPhaseBegin, kDefaultStream,
+                      name, clock_cycles_, clock_cycles_);
+      rec.phase_scope = scope;
+      critpath_.Append(std::move(rec));
     }
     phase_stack_.push_back(name);
   }
@@ -350,20 +355,15 @@ class Device {
 
     const int slots = std::max(1, params_.num_warp_slots);
     // Min-heap of (finish time, slot) pairs: greedy list scheduling gives
-    // the makespan of the warp tasks over the resident-warp slots; the
-    // slot index lets the timeline recorder draw per-slot occupancy. The
+    // the makespan of the warp tasks over the resident-warp slots. Every
+    // task is ready at launch, so a slot is busy without a gap until its
+    // final finish time, which the command record keeps per slot. The
     // pairs are distinct, so the order is total and the root sequence is
     // that of any min-priority queue. Ascending slots already form a heap.
     std::vector<SlotTime> finish(static_cast<std::size_t>(slots));
     for (int i = 0; i < slots; ++i) {
       finish[static_cast<std::size_t>(i)] = {0.0, i};
     }
-    const bool record_slots = trace_recorder_.enabled();
-    // Per-slot busy intervals, coalesced: adjacent tasks merge into one
-    // run, but a gap (a slot idle between tasks) starts a new run, so the
-    // exported occupancy never paints idle time as busy.
-    std::vector<std::vector<std::pair<double, double>>> slot_runs;
-    if (record_slots) slot_runs.resize(static_cast<std::size_t>(slots));
     const bool record_cmds = critpath_.enabled();
     // Per-slot stall cycles split by resource class; the busiest slot's
     // split becomes the kernel's what-if handle (scaling it is scaling the
@@ -374,12 +374,11 @@ class Device {
     double task_total = 0.0;
     std::size_t launch_pcie_bytes = 0;
     // One task's accounting, in task order: its PCIe bytes, its place on
-    // the slot heap, its resource-class split and its slot run.
+    // the slot heap and its resource-class split.
     auto account = [&](const WarpCtx& warp) {
       launch_pcie_bytes += warp.pcie_bytes();
       const auto [start, slot] = finish.front();
-      const double end = start + warp.cycles();
-      ReplaceHeapRoot(finish, {end, slot});
+      ReplaceHeapRoot(finish, {start + warp.cycles(), slot});
       if (record_cmds) {
         auto& busy = slot_busy[static_cast<std::size_t>(slot)];
         const ResourceCycles& task = warp.class_cycles();
@@ -387,14 +386,6 @@ class Device {
         const double task_cycles = warp.cycles();
         task_max = std::max(task_max, task_cycles);
         task_total += task_cycles;
-      }
-      if (record_slots && end > start) {
-        auto& runs = slot_runs[static_cast<std::size_t>(slot)];
-        if (!runs.empty() && runs.back().second == start) {
-          runs.back().second = end;
-        } else {
-          runs.push_back({start, end});
-        }
       }
     };
     if (executor_ != nullptr && num_tasks > 1) {
@@ -459,11 +450,9 @@ class Device {
       rec.launch_cycles = params_.kernel_launch_cycles;
       rec.makespan = makespan;
       rec.busy = slot_busy[static_cast<std::size_t>(busiest_slot)];
-      rec.slot_busy_cycles.reserve(slot_busy.size());
-      for (const ResourceCycles& busy : slot_busy) {
-        double total = 0.0;
-        for (int c = 0; c < kNumResourceClasses; ++c) total += busy[c];
-        rec.slot_busy_cycles.push_back(total);
+      rec.slot_busy_cycles.resize(finish.size());
+      for (const auto& [busy, slot] : finish) {
+        rec.slot_busy_cycles[static_cast<std::size_t>(slot)] = busy;
       }
       rec.tasks = num_tasks;
       rec.task_max_cycles = task_max;
@@ -476,18 +465,6 @@ class Device {
         rec.link_pred = link_pred;
       }
       critpath_.Append(std::move(rec));
-    }
-    if (record_slots) {
-      trace_recorder_.RecordSpan(TraceRecorder::Kind::kKernel, name,
-                                 start_cycles, end_cycles, stream);
-      // Slot busy runs start after the launch overhead; they always nest
-      // inside the kernel span.
-      for (int slot = 0; slot < slots; ++slot) {
-        for (const auto& [lo, hi] : slot_runs[static_cast<std::size_t>(slot)]) {
-          trace_recorder_.RecordSpan(TraceRecorder::Kind::kWarpSlot, name,
-                                     work_start + lo, work_start + hi, slot);
-        }
-      }
     }
     metrics_.MaybeSample(*this);
     return end_cycles - start_cycles;
@@ -527,7 +504,7 @@ class Device {
   }
 
   /// Shared body of the explicit-transfer APIs: link acquisition, clock
-  /// advance, trace span, and the gamma-prof command record.
+  /// advance, and the gamma-prof command record.
   double CopyAsync(StreamId stream, std::size_t bytes, const char* name);
 
   SimParams params_;

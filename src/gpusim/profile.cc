@@ -102,17 +102,14 @@ PhaseScope::PhaseScope(Device* device, std::string name)
   // The sanitizer attributes findings to the innermost open phase.
   if (Sanitizer* san = device_->sanitizer()) san->PushPhase(name_);
   // gamma-prof attributes command records to the innermost open phase;
-  // the markers let the critpath analyzer rebuild the phase windows.
-  device_->BeginPhaseMark(name_);
+  // the markers let the critpath analyzer rebuild the phase windows and
+  // the timeline draw the phase.
+  device_->BeginPhaseMark(name_, /*scope=*/true);
 }
 
 PhaseScope::~PhaseScope() {
   device_->EndPhaseMark();
   if (Sanitizer* san = device_->sanitizer()) san->PopPhase();
-  if (device_->trace().enabled()) {
-    device_->trace().RecordSpan(TraceRecorder::Kind::kPhase, name_,
-                                start_cycles_, device_->now_cycles());
-  }
   device_->profile().Record(name_, device_->now_cycles() - start_cycles_,
                             device_->stats().Diff(start_stats_));
 }

@@ -56,8 +56,8 @@ class RunProfile {
 /// RAII phase marker: snapshots the device clock and counters at
 /// construction and attributes the difference to `name` in the device's
 /// RunProfile at destruction. It also brackets the phase for the
-/// sanitizer and the command log, and gives the timeline recorder, when
-/// enabled, the phase span.
+/// sanitizer and the command log, whose markers the timeline draws the
+/// phase span from.
 class PhaseScope {
  public:
   PhaseScope(Device* device, std::string name);

@@ -94,9 +94,9 @@ struct SimParams {
   /// simulated results.
   bool record_commands = false;
 
-  /// Arms the timeline recorder at construction (equivalent to
-  /// trace().set_enabled(true)), so harnesses that build the Device behind
-  /// a helper can export traces.
+  /// Arms the timeline recorder, and with it the command log its spans are
+  /// drawn from, at construction (equivalent to trace().set_enabled(true)),
+  /// so harnesses that build the Device behind a helper can export traces.
   bool record_timeline = false;
 
   /// Zero-copy transactions an access of `bytes` occupies (rounded up).

@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "common/json.h"
@@ -32,28 +33,8 @@ int StreamTid(int stream) {
   return stream == 0 ? kKernelTid : kStreamTidBase + stream;
 }
 
-bool IsSpan(TraceRecorder::Kind kind) {
-  return kind == TraceRecorder::Kind::kKernel ||
-         kind == TraceRecorder::Kind::kCopy ||
-         kind == TraceRecorder::Kind::kPhase ||
-         kind == TraceRecorder::Kind::kWarpSlot;
-}
-
 const char* Category(TraceRecorder::Kind kind) {
-  switch (kind) {
-    case TraceRecorder::Kind::kKernel:
-      return "kernel";
-    case TraceRecorder::Kind::kCopy:
-      return "copy";
-    case TraceRecorder::Kind::kPhase:
-      return "phase";
-    case TraceRecorder::Kind::kWarpSlot:
-      return "warp-slot";
-    case TraceRecorder::Kind::kAdaptivity:
-      return "adaptivity";
-    default:
-      return "um";
-  }
+  return kind == TraceRecorder::Kind::kAdaptivity ? "adaptivity" : "um";
 }
 
 // One emitted Chrome event ("B", "E", or "i") awaiting per-track ordering.
@@ -67,7 +48,9 @@ struct EmitEvent {
   // (innermost span first).
   double tie;
   char ph;
-  const TraceRecorder::Event* event;
+  const char* cat;                       // "B" and "i"
+  std::string_view name;                 // "B" and "i"
+  const TraceRecorder::Event* instant;   // "i" only
 };
 
 bool EmitOrder(const EmitEvent& a, const EmitEvent& b) {
@@ -80,14 +63,6 @@ bool EmitOrder(const EmitEvent& a, const EmitEvent& b) {
 
 const char* TraceKindName(TraceRecorder::Kind kind) {
   switch (kind) {
-    case TraceRecorder::Kind::kKernel:
-      return "kernel";
-    case TraceRecorder::Kind::kCopy:
-      return "copy";
-    case TraceRecorder::Kind::kPhase:
-      return "phase";
-    case TraceRecorder::Kind::kWarpSlot:
-      return "warp-slot";
     case TraceRecorder::Kind::kUmFault:
       return "um-fault";
     case TraceRecorder::Kind::kUmHit:
@@ -102,27 +77,14 @@ const char* TraceKindName(TraceRecorder::Kind kind) {
   return "?";
 }
 
-bool TraceRecorder::Admit() {
-  if (events_.size() >= capacity_) {
-    ++dropped_;
-    return false;
-  }
-  return true;
-}
-
-void TraceRecorder::RecordSpan(Kind kind, std::string_view name,
-                               double begin_cycles, double end_cycles,
-                               int track) {
-  if (!enabled_ || !Admit()) return;
-  events_.push_back(Event{kind, std::string(name), begin_cycles,
-                          end_cycles, track, 0, 0});
-}
-
 void TraceRecorder::RecordUmEvent(Kind kind, double ts_cycles,
                                   uint32_t region, uint64_t page) {
-  if (!enabled_ || !Admit()) return;
-  events_.push_back(Event{kind, std::string(), ts_cycles, ts_cycles, 0,
-                          region, page});
+  if (!enabled_) return;
+  if (events_.size() >= capacity_) {
+    ++dropped_;
+    return;
+  }
+  events_.push_back(Event{kind, ts_cycles, region, page});
 }
 
 std::string TraceRecorder::ToChromeTraceJson(const SimParams& params) const {
@@ -134,39 +96,70 @@ std::string TraceRecorder::ToChromeTraceJson(const SimParams& params) const {
   std::map<std::pair<int, int>, std::vector<EmitEvent>> tracks;
   std::set<int> slot_tids;
   std::set<int> stream_tids;  // non-default streams needing a thread name
-  bool has_adaptivity = false;
-  for (const Event& ev : events_) {
-    std::pair<int, int> track;
-    switch (ev.kind) {
-      case Kind::kKernel:
-      case Kind::kCopy:
-        track = {kDevicePid, StreamTid(ev.track)};
-        if (ev.track != 0) stream_tids.insert(ev.track);
+  auto span = [&tracks](std::pair<int, int> track, const char* cat,
+                        std::string_view name, double begin, double end) {
+    std::vector<EmitEvent>& out = tracks[track];
+    const bool zero_length = end <= begin;
+    out.push_back({begin, 2, -end, 'B', cat, name, nullptr});
+    out.push_back({end, zero_length ? 3 : 0, -begin, 'E', cat, name, nullptr});
+  };
+  auto stream_track = [&stream_tids](StreamId stream) {
+    if (stream != 0) stream_tids.insert(stream);
+    return std::pair<int, int>{kDevicePid, StreamTid(stream)};
+  };
+
+  // Spans, in log order within each track. Phase markers pair up on a
+  // stack, as the device's phase stack does. A phase whose end marker
+  // fell past the log's capacity is not drawn, nor one whose begin marker
+  // predates the log's enabling.
+  std::vector<const prof::CommandRecord*> open_phases;
+  const std::vector<prof::CommandRecord> no_commands;
+  for (const prof::CommandRecord& rec :
+       log_ != nullptr ? log_->commands() : no_commands) {
+    switch (rec.kind) {
+      case prof::CommandRecord::Kind::kKernel: {
+        span(stream_track(rec.stream), "kernel", rec.name, rec.start,
+             rec.end);
+        // A busy slot runs without a gap from the end of the launch
+        // overhead to its last task's finish, inside the kernel span.
+        const double work_start = rec.start + rec.launch_cycles;
+        for (std::size_t s = 0; s < rec.slot_busy_cycles.size(); ++s) {
+          if (rec.slot_busy_cycles[s] <= 0) continue;
+          const int slot = static_cast<int>(s);
+          slot_tids.insert(slot);
+          span({kWarpSlotPid, slot}, "warp-slot", rec.name, work_start,
+               work_start + rec.slot_busy_cycles[s]);
+        }
         break;
-      case Kind::kPhase:
-        track = {kDevicePid, kPhaseTid};
+      }
+      case prof::CommandRecord::Kind::kCopy:
+        span(stream_track(rec.stream), "copy", rec.name, rec.start, rec.end);
         break;
-      case Kind::kWarpSlot:
-        track = {kWarpSlotPid, ev.track};
-        slot_tids.insert(ev.track);
+      case prof::CommandRecord::Kind::kPhaseBegin:
+        open_phases.push_back(&rec);
         break;
-      case Kind::kAdaptivity:
-        track = {kAdaptivityPid, kAdaptivityTid};
-        has_adaptivity = true;
+      case prof::CommandRecord::Kind::kPhaseEnd:
+        if (open_phases.empty()) break;
+        if (open_phases.back()->phase_scope) {
+          span({kDevicePid, kPhaseTid}, "phase", open_phases.back()->name,
+               open_phases.back()->start, rec.end);
+        }
+        open_phases.pop_back();
         break;
       default:
-        track = {kDevicePid, kUmTid};
         break;
     }
-    std::vector<EmitEvent>& out = tracks[track];
-    if (IsSpan(ev.kind)) {
-      const bool zero_length = ev.end_cycles <= ev.begin_cycles;
-      out.push_back({ev.begin_cycles, 2, -ev.end_cycles, 'B', &ev});
-      out.push_back(
-          {ev.end_cycles, zero_length ? 3 : 0, -ev.begin_cycles, 'E', &ev});
-    } else {
-      out.push_back({ev.begin_cycles, 1, 0.0, 'i', &ev});
+  }
+
+  bool has_adaptivity = false;
+  for (const Event& ev : events_) {
+    std::pair<int, int> track{kDevicePid, kUmTid};
+    if (ev.kind == Kind::kAdaptivity) {
+      track = {kAdaptivityPid, kAdaptivityTid};
+      has_adaptivity = true;
     }
+    tracks[track].push_back({ev.ts, 1, 0.0, 'i', Category(ev.kind),
+                             TraceKindName(ev.kind), &ev});
   }
 
   std::ostringstream os;
@@ -177,7 +170,8 @@ std::string TraceRecorder::ToChromeTraceJson(const SimParams& params) const {
   w.Key("schema").Value("gamma.trace.v1");
   w.Key("clock_ghz").Value(params.clock_ghz);
   w.Key("capacity").Value(capacity_);
-  w.Key("dropped_events").Value(dropped_);
+  w.Key("dropped_events")
+      .Value(dropped_ + (log_ != nullptr ? log_->dropped() : 0));
   w.EndObject();
 
   w.Key("traceEvents").BeginArray();
@@ -215,18 +209,17 @@ std::string TraceRecorder::ToChromeTraceJson(const SimParams& params) const {
   for (auto& [track, emits] : tracks) {
     std::stable_sort(emits.begin(), emits.end(), EmitOrder);
     for (const EmitEvent& e : emits) {
-      const Event& ev = *e.event;
       w.BeginObject();
       w.Key("ph").Value(std::string_view(&e.ph, 1));
       w.Key("ts").Value(to_us(e.ts));
       w.Key("pid").Value(track.first);
       w.Key("tid").Value(track.second);
       if (e.ph != 'E') {
-        w.Key("name").Value(e.ph == 'i' ? TraceKindName(ev.kind)
-                                        : std::string_view(ev.name));
-        w.Key("cat").Value(Category(ev.kind));
+        w.Key("name").Value(e.name);
+        w.Key("cat").Value(e.cat);
       }
       if (e.ph == 'i') {
+        const Event& ev = *e.instant;
         w.Key("s").Value("t");
         w.Key("args").BeginObject();
         if (ev.kind == Kind::kAdaptivity) {

@@ -49,6 +49,28 @@ expect_exit(1 "--metrics-interval wants a finite N >= 0"
 expect_exit(1 "--metrics-interval wants a finite N >= 0"
             --metrics-interval inf)
 expect_exit(0 "" --task kcl --k 3 --metrics-interval 0)
+# Unknown names must neither fall back to hybrid / dynamic-alloc nor reach
+# the fatal checks in dataset and SM-query construction.
+expect_exit(1 "--placement wants hybrid, unified" --placement bogus)
+expect_exit(1 "--strategy wants dynamic, naive or prealloc"
+            --strategy bogus)
+expect_exit(1 "--dataset wants a Table II proxy name" --dataset BOGUS)
+expect_exit(1 "--query wants N in 1..3" --task sm --query 0)
+expect_exit(1 "--query wants N in 1..3" --task sm --query 9)
+# Placements without host-memory traffic have nothing to audit: refused
+# before the run, so no other document is written either.
+set(dir "${CMAKE_CURRENT_BINARY_DIR}/cli_no_audit")
+file(REMOVE_RECURSE "${dir}")
+file(MAKE_DIRECTORY "${dir}")
+foreach(placement device explicit)
+  expect_exit(1 "--observe adaptivity: placement ${placement} has no"
+              --placement ${placement} --observe plan,profile,adaptivity
+              --out-dir "${dir}")
+endforeach()
+file(GLOB written "${dir}/*")
+if(written)
+  message(SEND_ERROR "refused --observe adaptivity still wrote ${written}")
+endif()
 
 set(names plan profile trace critpath metrics adaptivity planprof check)
 string(REPLACE ";" "," list "${names}")

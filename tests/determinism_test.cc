@@ -354,7 +354,7 @@ TEST(DeterminismTest, EmitSlotReuseIsBitIdentical) {
 TEST(DeterminismTest, CountOnlyExtensionRunsOnComputeStream) {
   graph::Graph g = TestGraph();
   gpusim::Device device(TestParams(/*host_threads=*/1));
-  device.trace().set_enabled(true);
+  device.critpath().set_enabled(true);
   core::GammaOptions options;
   options.extension.num_streams = 2;
   core::GammaEngine engine(&device, &g, options);
@@ -365,16 +365,20 @@ TEST(DeterminismTest, CountOnlyExtensionRunsOnComputeStream) {
                            .value())
                   .ok());
 
-  std::set<int> count_only_tracks;
-  std::set<int> materializing_tracks;
-  for (const auto& e : device.trace().events()) {
-    if (e.kind != gpusim::TraceRecorder::Kind::kKernel) continue;
-    if (e.name == "extension-count-only") count_only_tracks.insert(e.track);
-    if (e.name == "extension-dynamic") materializing_tracks.insert(e.track);
+  std::set<gpusim::StreamId> count_only_streams;
+  std::set<gpusim::StreamId> materializing_streams;
+  for (const prof::CommandRecord& rec : device.critpath().commands()) {
+    if (rec.kind != prof::CommandRecord::Kind::kKernel) continue;
+    if (rec.name == "extension-count-only") {
+      count_only_streams.insert(rec.stream);
+    }
+    if (rec.name == "extension-dynamic") {
+      materializing_streams.insert(rec.stream);
+    }
   }
-  ASSERT_FALSE(count_only_tracks.empty());
-  ASSERT_FALSE(materializing_tracks.empty());
-  EXPECT_EQ(count_only_tracks, materializing_tracks)
+  ASSERT_FALSE(count_only_streams.empty());
+  ASSERT_FALSE(materializing_streams.empty());
+  EXPECT_EQ(count_only_streams, materializing_streams)
       << "count-only extension kernels must share the materializing "
          "strategies' compute stream";
 }

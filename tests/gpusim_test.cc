@@ -6,6 +6,7 @@
 #include <chrono>
 #include <limits>
 #include <list>
+#include <map>
 #include <queue>
 #include <string>
 #include <thread>
@@ -20,6 +21,7 @@
 #include "gpusim/host_executor.h"
 #include "gpusim/profile.h"
 #include "gpusim/trace.h"
+#include "minijson.h"
 
 namespace gpm::gpusim {
 namespace {
@@ -469,7 +471,7 @@ TEST(UnifiedMemoryTest, FlatBufferMatchesListLru) {
         const auto& a = got_trace.events()[i];
         const auto& b = want_trace.events()[i];
         ASSERT_TRUE(a.kind == b.kind && a.region == b.region &&
-                    a.page == b.page && a.begin_cycles == b.begin_cycles)
+                    a.page == b.page && a.ts == b.ts)
             << "event " << i << ": " << TraceKindName(a.kind) << " "
             << a.region << ":" << a.page << " vs " << TraceKindName(b.kind)
             << " " << b.region << ":" << b.page;
@@ -509,7 +511,7 @@ TEST(DeviceTest, MakespanScalesWithWarpSlots) {
 
 // The launch's slot scheduler against a std::priority_queue of (finish,
 // slot) pairs: the kernel record's makespan, busiest slot split and
-// per-slot busy cycles, and the timeline's slot runs, must be exactly the
+// per-slot busy cycles, and the timeline's slot spans, must be exactly the
 // reference's. Runs of tied tasks (every slot free at once) and of
 // zero-cycle tasks (a slot that stays the earliest free) make the tie
 // order observable; compute and DRAM charges give slots distinct class
@@ -557,31 +559,23 @@ TEST(DeviceTest, SlotHeapMatchesPriorityQueueReference) {
           finish;
       for (int i = 0; i < slots; ++i) finish.push({0.0, i});
       std::vector<ResourceCycles> busy(static_cast<std::size_t>(slots));
-      std::vector<std::vector<std::pair<double, double>>> runs(
-          static_cast<std::size_t>(slots));
       for (std::size_t t = 0; t < costs.size(); ++t) {
         WarpCtx w(&scratch, t);
         run(w, t);
         auto [start, slot] = finish.top();
         finish.pop();
-        const double end = start + w.cycles();
-        finish.push({end, slot});
+        finish.push({start + w.cycles(), slot});
         for (int c = 0; c < kNumResourceClasses; ++c) {
           busy[static_cast<std::size_t>(slot)][c] += w.class_cycles()[c];
         }
-        auto& slot_runs = runs[static_cast<std::size_t>(slot)];
-        if (end > start) {
-          if (!slot_runs.empty() && slot_runs.back().second == start) {
-            slot_runs.back().second = end;
-          } else {
-            slot_runs.push_back({start, end});
-          }
-        }
       }
+      // Each slot's final finish time; the last one popped is the makespan.
+      std::vector<double> final_time(static_cast<std::size_t>(slots));
       double makespan = 0;
       int busiest = 0;
       while (!finish.empty()) {
         std::tie(makespan, busiest) = finish.top();
+        final_time[static_cast<std::size_t>(busiest)] = makespan;
         finish.pop();
       }
 
@@ -595,32 +589,36 @@ TEST(DeviceTest, SlotHeapMatchesPriorityQueueReference) {
             << label << ", class " << c;
       }
       ASSERT_EQ(rec.slot_busy_cycles.size(), static_cast<std::size_t>(slots));
-      for (int s = 0; s < slots; ++s) {
-        double total = 0;
-        for (int c = 0; c < kNumResourceClasses; ++c) {
-          total += busy[static_cast<std::size_t>(s)][c];
-        }
-        EXPECT_EQ(rec.slot_busy_cycles[static_cast<std::size_t>(s)], total)
-            << label << ", slot " << s;
+      EXPECT_EQ(*std::max_element(rec.slot_busy_cycles.begin(),
+                                  rec.slot_busy_cycles.end()),
+                rec.makespan)
+          << label;
+      // Every task is ready at launch, so a busy slot's one span runs from
+      // the end of the launch overhead to its final finish time.
+      minijson::Value doc;
+      ASSERT_TRUE(minijson::Parse(
+          device.trace().ToChromeTraceJson(device.params()), &doc));
+      std::map<int, std::vector<std::pair<char, double>>> slot_events;
+      for (const minijson::Value& e : doc.Find("traceEvents")->array) {
+        if (e.Find("pid")->number != 2 || e.Find("ph")->str == "M") continue;
+        slot_events[static_cast<int>(e.Find("tid")->number)].push_back(
+            {e.Find("ph")->str[0], e.Find("ts")->number});
       }
-      std::vector<std::vector<std::pair<double, double>>> got(
-          static_cast<std::size_t>(slots));
+      auto to_us = [&params](double cycles) {
+        return params.CyclesToSeconds(cycles) * 1e6;
+      };
       const double work_start = params.kernel_launch_cycles;
-      for (const TraceRecorder::Event& e : device.trace().events()) {
-        if (e.kind != TraceRecorder::Kind::kWarpSlot) continue;
-        got[static_cast<std::size_t>(e.track)].push_back(
-            {e.begin_cycles, e.end_cycles});
-      }
       for (int s = 0; s < slots; ++s) {
-        const auto& want = runs[static_cast<std::size_t>(s)];
-        const auto& have = got[static_cast<std::size_t>(s)];
-        ASSERT_EQ(have.size(), want.size()) << label << ", slot " << s;
-        for (std::size_t i = 0; i < want.size(); ++i) {
-          EXPECT_EQ(have[i].first, work_start + want[i].first)
-              << label << ", slot " << s << ", run " << i;
-          EXPECT_EQ(have[i].second, work_start + want[i].second)
-              << label << ", slot " << s << ", run " << i;
+        const double want = final_time[static_cast<std::size_t>(s)];
+        EXPECT_EQ(rec.slot_busy_cycles[static_cast<std::size_t>(s)], want)
+            << label << ", slot " << s;
+        if (want == 0) {
+          EXPECT_EQ(slot_events.count(s), 0u) << label << ", slot " << s;
+          continue;
         }
+        const std::vector<std::pair<char, double>> span = {
+            {'B', to_us(work_start)}, {'E', to_us(work_start + want)}};
+        EXPECT_EQ(slot_events[s], span) << label << ", slot " << s;
       }
     }
   }
