@@ -201,10 +201,7 @@ class BenchJson {
       w.Key("peak_host_bytes").Value(r.peak_host_bytes);
       w.Key("link_busy_cycles").Value(r.link_busy_cycles);
       w.Key("counters").BeginObject();
-      for (const gpusim::DeviceStats::Field& f :
-           gpusim::DeviceStats::Fields()) {
-        w.Key(f.name).Value(r.counters.*f.member);
-      }
+      gpusim::WriteStatsFields(w, r.counters);
       w.EndObject();
       w.Key("phases").BeginArray();
       for (const gpusim::PhaseRecord& ph : r.phases) {

@@ -89,6 +89,8 @@ struct CliOptions {
 
 static_assert(gpusim::kMaxHostThreads == 256,
               "Usage() names the --host-threads cap");
+static_assert(gpusim::kMaxWarpSlots == 65536,
+              "Usage() names the --warps cap");
 
 void Usage() {
   std::puts(
@@ -137,7 +139,8 @@ void Usage() {
       "  --symmetric        SM with automorphism symmetry breaking\n"
       "  --device-mb N      simulated device memory in MiB (default 16;\n"
       "                     below 2^44)\n"
-      "  --warps N          resident warp slots (default 64)\n"
+      "  --warps N          resident warp slots (default 64, at most\n"
+      "                     65536)\n"
       "  --host-threads N   host threads executing warp tasks (default 1,\n"
       "                     at most 256; > 1 records task functions on a\n"
       "                     thread pool while replaying their side effects\n"
@@ -272,6 +275,11 @@ bool Parse(int argc, char** argv, CliOptions* o) {
     } else if (a == "--warps") {
       number(&o->warps);
       if (value_ok && o->warps < 1) out_of_range("N >= 1");
+      // Every launch sizes per-slot state from N.
+      if (value_ok && o->warps > gpusim::kMaxWarpSlots) {
+        out_of_range(
+            ("N <= " + std::to_string(gpusim::kMaxWarpSlots)).c_str());
+      }
     } else if (a == "--host-threads") {
       number(&o->host_threads);
       if (value_ok && o->host_threads < 1) out_of_range("N >= 1");

@@ -235,10 +235,7 @@ std::string AdaptivityAudit::ToJson() {
     w.Key("plan_cycles").Value(r.plan_cycles);
     w.Key("actual").BeginObject();
     w.Key("access_cycles").Value(r.actual_access_cycles);
-    for (const gpusim::DeviceStats::Field& f :
-         gpusim::DeviceStats::Fields()) {
-      w.Key(f.name).Value(r.actual.*f.member);
-    }
+    gpusim::WriteStatsFields(w, r.actual);
     w.EndObject();
     WriteShadow(w, "est_unified", r.est_unified);
     WriteShadow(w, "est_zerocopy", r.est_zerocopy);

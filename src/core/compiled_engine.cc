@@ -40,7 +40,7 @@ Result<CompiledRunResult> CompiledEngine::Run(const VerifiedPlan& verified) {
 
 namespace {
 
-// Labels are per-run-unique, so the profiler's phase markers never alias.
+// Names one profiled segment: "L<depth>", "it<i>" or "e<k>".
 std::string LevelLabel(const char* prefix, int n) {
   return std::string(prefix) + std::to_string(n);
 }
@@ -70,10 +70,7 @@ Result<CompiledRunResult> CompiledEngine::RunVertexPlan(
           ? engine_->InitVertexPairTable(plan.start_label, plan.second_label,
                                          plan.start_ascending)
           : engine_->InitVertexTable(plan.start_label);
-  if (!table.ok()) {
-    if (prof != nullptr) prof->AbortRun();
-    return table.status();
-  }
+  if (!table.ok()) return table.status();
   EmbeddingTable* et = table.value().get();
   if (prof != nullptr) {
     const uint64_t rows = et->num_embeddings();
@@ -105,10 +102,7 @@ Result<CompiledRunResult> CompiledEngine::RunVertexPlan(
       prof->BeginSegment(std::move(in));
     }
     auto stats = engine_->VertexExtension(et, level);
-    if (!stats.ok()) {
-      if (prof != nullptr) prof->AbortRun();
-      return stats.status();
-    }
+    if (!stats.ok()) return stats.status();
     if (prof != nullptr) {
       prof->EndSegment(stats.value().input_rows, stats.value().candidates,
                        stats.value().results);
@@ -131,10 +125,7 @@ Result<CompiledRunResult> CompiledEngine::RunVertexPlan(
       prof->BeginSegment(std::move(in));
     }
     auto agg = engine_->Aggregation(*et, &pt, /*use_labels=*/false);
-    if (!agg.ok()) {
-      if (prof != nullptr) prof->AbortRun();
-      return agg.status();
-    }
+    if (!agg.ok()) return agg.status();
     if (prof != nullptr) {
       prof->EndSegment(et->num_embeddings(), /*candidates=*/0,
                        pt.entries().size());
@@ -177,10 +168,7 @@ Result<CompiledRunResult> CompiledEngine::RunFrequentMining(
   }
 
   auto table = engine_->InitEdgeTable();
-  if (!table.ok()) {
-    if (prof != nullptr) prof->AbortRun();
-    return table.status();
-  }
+  if (!table.ok()) return table.status();
   EmbeddingTable* et = table.value().get();
   if (prof != nullptr) {
     prof->EndSegment(/*input_rows=*/0, /*candidates=*/0,
@@ -201,10 +189,7 @@ Result<CompiledRunResult> CompiledEngine::RunFrequentMining(
     // PT = PT ∪ Aggregation(ET, m_f)
     auto agg =
         engine_->Aggregation(*et, &result.patterns, /*use_labels=*/true);
-    if (!agg.ok()) {
-      if (prof != nullptr) prof->AbortRun();
-      return agg.status();
-    }
+    if (!agg.ok()) return agg.status();
     // Filtering(ET, PT, sup_min): invalidate infrequent patterns and drop
     // their instances.
     result.patterns.InvalidateBelow(plan.min_support);
@@ -216,10 +201,7 @@ Result<CompiledRunResult> CompiledEngine::RunFrequentMining(
       EdgeExtensionSpec spec;
       spec.canonical_only = true;
       auto stats = engine_->EdgeExtension(et, spec);
-      if (!stats.ok()) {
-        if (prof != nullptr) prof->AbortRun();
-        return stats.status();
-      }
+      if (!stats.ok()) return stats.status();
       candidates = stats.value().candidates;
       result.steps.push_back(stats.value());
     }
@@ -252,10 +234,7 @@ Result<CompiledRunResult> CompiledEngine::RunEdgeJoin(
     prof->BeginSegment(std::move(in));
   }
   auto table = engine_->InitEdgeTable();
-  if (!table.ok()) {
-    if (prof != nullptr) prof->AbortRun();
-    return table.status();
-  }
+  if (!table.ok()) return table.status();
   EmbeddingTable* et = table.value().get();
   const uint64_t seed_rows = et->num_embeddings();
 
@@ -279,10 +258,7 @@ Result<CompiledRunResult> CompiledEngine::RunEdgeJoin(
       prof->BeginSegment(std::move(in));
     }
     auto stats = engine_->EdgeExtension(et, spec);
-    if (!stats.ok()) {
-      if (prof != nullptr) prof->AbortRun();
-      return stats.status();
-    }
+    if (!stats.ok()) return stats.status();
     if (prof != nullptr) {
       prof->EndSegment(stats.value().input_rows, stats.value().candidates,
                        stats.value().results);

@@ -311,7 +311,6 @@ Result<ExtensionStats> RunExtension(
       }
       case WriteStrategy::kNaiveTwoPass: {
         // Pass 1: count only (full generation cost, results discarded).
-        std::vector<std::size_t> counts(chunk_tasks, 0);
         std::vector<std::size_t> task_candidates(chunk_tasks, 0);
         stats.kernel_cycles += device->LaunchKernelAsync(
             compute_stream, chunk_tasks,
@@ -319,7 +318,6 @@ Result<ExtensionStats> RunExtension(
               const WarpTask& task = tasks[chunk_begin + i];
               std::vector<ExtensionEmit>& local = slot(i);
               task_candidates[i] = generate(w, task.lo, task.hi, &local);
-              counts[i] = local.size();
               local.clear();
               w.DeviceWrite(sizeof(uint32_t));  // per-task count
             },

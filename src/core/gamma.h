@@ -43,7 +43,7 @@ struct GammaOptions {
   /// attribution, and warp-slot load imbalance (gamma.planprof.v1).
   /// Observation only — a profiled run is bit-identical in cycles and
   /// DeviceStats to an unprofiled one. Attribution and slot histograms
-  /// additionally need DeviceParams::record_commands.
+  /// additionally need SimParams::record_commands.
   bool plan_profile = false;
 };
 

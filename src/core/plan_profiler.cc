@@ -1,22 +1,14 @@
 #include "core/plan_profiler.h"
 
 #include <algorithm>
-#include <atomic>
 #include <sstream>
 #include <utility>
 
 #include "common/json.h"
 #include "common/logging.h"
-#include "gpusim/critpath.h"
 
 namespace gpm::core {
 namespace {
-
-// Process-wide marker-name sequence: several runs may share one device
-// command log (benches reuse a device across iterations), and the critpath
-// analyzer accumulates same-named phase instances, so every run's markers
-// get a fresh prefix.
-std::atomic<uint64_t> g_planprof_seq{0};
 
 // Q-error with both sides clamped at one row, so empty levels and
 // sub-row estimates stay finite and hand-computable: q(est, act) =
@@ -49,20 +41,6 @@ double Imbalance(const std::vector<double>& hist, double* max_out,
   return max / mean;
 }
 
-std::string MarkerName(uint64_t seq, const std::string& label) {
-  std::ostringstream os;
-  os << "planprof/" << seq << "/" << label;
-  return os.str();
-}
-
-void WriteCounters(JsonWriter& w, const gpusim::DeviceStats& counters) {
-  w.BeginObject();
-  for (const auto& f : gpusim::DeviceStats::Fields()) {
-    w.Key(f.name).Value(counters.*(f.member));
-  }
-  w.EndObject();
-}
-
 void WriteAttribution(JsonWriter& w,
                       const gpusim::ResourceCycles& attribution) {
   w.BeginObject();
@@ -85,7 +63,6 @@ void PlanProfiler::BeginRun(const CompiledPlan& plan,
                     : "edge-table";
   order_ = plan.order;
   segments_.clear();
-  run_seq_ = g_planprof_seq.fetch_add(1, std::memory_order_relaxed);
   in_run_ = true;
   finished_ = false;
   attribution_available_ = false;
@@ -108,24 +85,23 @@ void PlanProfiler::BeginSegment(PlanProfLevelInput input) {
   seg.union_extension = input.union_extension;
   seg.has_strategy = input.has_strategy;
   seg.strategy = std::move(input.strategy);
+  seg.window.begin = device_->critpath().commands().size();
+  seg.window.begin_cycles = device_->now_cycles();
   segments_.push_back(std::move(seg));
   segment_open_ = true;
-  // The marker carries no clock edge and is skipped by the critpath
-  // replay; it only lets the analyzer window this segment's commands.
-  device_->BeginPhaseMark(MarkerName(run_seq_, segments_.back().label));
-  seg_begin_cycles_ = device_->now_cycles();
   seg_begin_stats_ = device_->stats().Snapshot();
-  seg_cmd_begin_ = device_->critpath().commands().size();
 }
 
 void PlanProfiler::EndSegment(uint64_t input_rows, uint64_t candidates,
                               uint64_t rows) {
   GAMMA_CHECK(segment_open_) << "EndSegment without BeginSegment";
   PlanProfSegment& seg = segments_.back();
-  seg.cycles = device_->now_cycles() - seg_begin_cycles_;
+  const prof::CommandLog& log = device_->critpath();
+  seg.window.end = log.commands().size();
+  seg.window.end_cycles = device_->now_cycles();
+  seg.window.complete = log.dropped() == 0;
+  seg.cycles = seg.window.end_cycles - seg.window.begin_cycles;
   seg.counters = device_->stats().Diff(seg_begin_stats_);
-  const std::size_t cmd_end = device_->critpath().commands().size();
-  device_->EndPhaseMark();
   segment_open_ = false;
 
   seg.input_rows = input_rows;
@@ -137,8 +113,8 @@ void PlanProfiler::EndSegment(uint64_t input_rows, uint64_t candidates,
                                    : 0.0;
 
   // Per-warp-slot histogram over the window's kernel records.
-  const auto& cmds = device_->critpath().commands();
-  for (std::size_t i = seg_cmd_begin_; i < cmd_end; ++i) {
+  const auto& cmds = log.commands();
+  for (std::size_t i = seg.window.begin; i < seg.window.end; ++i) {
     const prof::CommandRecord& rec = cmds[i];
     if (rec.kind != prof::CommandRecord::Kind::kKernel) continue;
     ++seg.kernels;
@@ -156,44 +132,33 @@ void PlanProfiler::EndSegment(uint64_t input_rows, uint64_t candidates,
                             &seg.slot_mean_cycles);
 }
 
-void PlanProfiler::CloseOpenSegment() {
-  if (!segment_open_) return;
-  device_->EndPhaseMark();
-  segment_open_ = false;
-}
-
-void PlanProfiler::AbortRun() {
-  if (!in_run_) return;
-  CloseOpenSegment();
-  in_run_ = false;
-  finished_ = false;
-  segments_.clear();
-}
-
 void PlanProfiler::FinishRun() {
   GAMMA_CHECK(in_run_) << "FinishRun outside a run";
   GAMMA_CHECK(!segment_open_) << "FinishRun with an open segment";
   in_run_ = false;
   finished_ = true;
   total_cycles_ = device_->now_cycles() - run_begin_cycles_;
-  dropped_commands_ = device_->critpath().dropped();
+  const prof::CommandLog& log = device_->critpath();
+  dropped_commands_ = log.dropped();
   partial_ = dropped_commands_ > 0;
-  if (!device_->critpath().enabled()) return;
+  if (!log.enabled()) return;
 
-  // Windowed resource attribution: the critpath analyzer replays the
-  // whole log (bit-exact) and attributes each marker-bracketed window;
-  // the fold over classes equals the window's cycles exactly. On an
-  // overflowed log only the windows closed before the cut are attributed.
-  auto report = prof::Analyze(*device_);
-  if (!report.ok()) return;
+  // Windowed resource attribution: the critpath replay (bit-exact),
+  // walked over each segment's window; the fold over classes equals the
+  // window's cycles exactly. On an overflowed log only the windows closed
+  // before the cut are attributed.
+  std::vector<prof::LogWindow> windows;
+  windows.reserve(segments_.size());
+  for (const PlanProfSegment& seg : segments_) windows.push_back(seg.window);
+  auto attributed = prof::AttributeWindows(log, windows);
+  if (!attributed.ok()) return;
   attribution_available_ = true;
-  for (PlanProfSegment& seg : segments_) {
-    const prof::PhaseBottleneck* ph =
-        report.value().FindPhase(MarkerName(run_seq_, seg.label));
-    if (ph == nullptr) continue;
-    seg.attributed = true;
-    seg.attribution = ph->attribution;
-    seg.binding = ph->binding;
+  for (std::size_t i = 0; i < segments_.size(); ++i) {
+    const prof::PhaseBottleneck& ph = attributed.value()[i];
+    if (ph.invocations == 0) continue;
+    segments_[i].attributed = true;
+    segments_[i].attribution = ph.attribution;
+    segments_[i].binding = ph.binding;
   }
 }
 
@@ -269,8 +234,9 @@ std::string PlanProfiler::ToJson() const {
       w.EndObject();
     }
     w.Key("cycles").Value(seg.cycles);
-    w.Key("counters");
-    WriteCounters(w, seg.counters);
+    w.Key("counters").BeginObject();
+    gpusim::WriteStatsFields(w, seg.counters);
+    w.EndObject();
     if (seg.attributed) {
       w.Key("attribution");
       WriteAttribution(w, seg.attribution);

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/pattern_compiler.h"
+#include "gpusim/critpath.h"
 #include "gpusim/device.h"
 #include "gpusim/resource_class.h"
 #include "gpusim/stats.h"
@@ -24,7 +25,7 @@ struct PlanProfStrategy {
 };
 
 /// Planner-side inputs for one profiled segment, passed by CompiledEngine
-/// when it opens the segment's bracket.
+/// when it opens the segment.
 struct PlanProfLevelInput {
   std::string label;  ///< "L<depth>" / "it<i>" / "e<k>" / "start"
   int depth = 0;
@@ -63,6 +64,8 @@ struct PlanProfSegment {
   // Execution window.
   double cycles = 0;
   gpusim::DeviceStats counters;  ///< DeviceStats delta over the window
+  /// The window's stretch of the command log (empty while the log is off).
+  prof::LogWindow window;
 
   // Per-warp-slot work histogram, summed over the window's kernels.
   // imbalance = max / mean busy cycles across slots (>= 1; 0 = no work).
@@ -75,8 +78,8 @@ struct PlanProfSegment {
   double slot_mean_cycles = 0;
   double imbalance = 0;
 
-  // Critpath resource attribution of the window's phase (fold-exact to
-  // `cycles`); only valid when `attributed`.
+  // Critpath resource attribution of the window (fold-exact to `cycles`);
+  // only valid when `attributed`.
   bool attributed = false;
   gpusim::ResourceCycles attribution{};
   gpusim::ResourceClass binding = gpusim::ResourceClass::kSyncIdle;
@@ -101,15 +104,16 @@ struct PlanProfSummary {
 
 /// Per-level estimate-vs-actual audit of one CompiledEngine::Run: Q-error
 /// against the planner's cardinality model, the strategy in effect and the
-/// inputs that drove it, per-level resource-class attribution (via
-/// critpath phase markers), and a per-warp-slot load-imbalance histogram.
+/// inputs that drove it, per-level resource-class attribution (over each
+/// level's window of the command log), and a per-warp-slot load-imbalance
+/// histogram.
 ///
 /// Observation only: the profiler reads the clock, counter snapshots, and
-/// the command log, and brackets each level with phase markers — none of
-/// which carries a clock edge — so a profiled run is bit-identical in
-/// cycles and DeviceStats to an unprofiled one (enforced by
-/// planprof_test). Attribution and slot histograms additionally need
-/// DeviceParams::record_commands; without it the run still profiles rows,
+/// the command log, and writes nothing into any of them, so a profiled run
+/// is bit-identical in cycles and DeviceStats to an unprofiled one
+/// (enforced by planprof_test) and every other document of the run is
+/// unchanged. Attribution and slot histograms additionally need
+/// SimParams::record_commands; without it the run still profiles rows,
 /// Q-error, cycles, and counters.
 class PlanProfiler {
  public:
@@ -117,17 +121,16 @@ class PlanProfiler {
 
   /// Starts a fresh audit (discarding any previous run's data).
   void BeginRun(const CompiledPlan& plan, gpusim::Device* device);
-  /// Opens one segment bracket; every Begin must be closed by EndSegment
-  /// (success) or AbortRun (error path) before the next Begin.
+  /// Opens one segment; EndSegment closes it before the next Begin. A run
+  /// that fails leaves its last segment open and never finishes.
   void BeginSegment(PlanProfLevelInput input);
   void EndSegment(uint64_t input_rows, uint64_t candidates, uint64_t rows);
-  /// Closes any open bracket and invalidates the run (error path).
-  void AbortRun();
   /// Collects attribution and totals; the run becomes readable.
   void FinishRun();
 
   // -- Results --------------------------------------------------------------
 
+  /// True once a run finished; a run that returned an error never does.
   bool has_run() const { return finished_; }
   const std::vector<PlanProfSegment>& segments() const { return segments_; }
   PlanProfSummary Summary() const;
@@ -135,16 +138,11 @@ class PlanProfiler {
   std::string ToJson() const;
 
  private:
-  void CloseOpenSegment();
-
   gpusim::Device* device_ = nullptr;
   std::string kind_;
   std::string start_mode_;
   std::vector<int> order_;
   std::vector<PlanProfSegment> segments_;
-  /// Unique per-process prefix for marker names, so repeated runs on one
-  /// device log never alias phase instances in the analyzer.
-  uint64_t run_seq_ = 0;
 
   bool in_run_ = false;
   bool finished_ = false;
@@ -156,9 +154,7 @@ class PlanProfiler {
 
   // Open-segment bookkeeping.
   bool segment_open_ = false;
-  double seg_begin_cycles_ = 0;
   gpusim::DeviceStats seg_begin_stats_;
-  std::size_t seg_cmd_begin_ = 0;
 };
 
 }  // namespace gpm::core

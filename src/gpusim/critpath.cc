@@ -561,14 +561,6 @@ void AttributeWindow(const std::vector<CommandRecord>& cmds,
   if (cursor > lo) idle(cursor - lo);
 }
 
-struct PhaseInstance {
-  std::string name;
-  std::size_t begin_idx = 0;
-  std::size_t end_idx = 0;
-  double begin_cycles = 0;
-  double end_cycles = 0;
-};
-
 int32_t SinkBefore(const std::vector<Node>& nodes, std::size_t limit) {
   int32_t sink = -1;
   double best = -1.0;
@@ -579,6 +571,36 @@ int32_t SinkBefore(const std::vector<Node>& nodes, std::size_t limit) {
     }
   }
   return sink;
+}
+
+/// Adds one window's attribution to `*attr`: the binding chain is walked
+/// back over the window's wall interval from the latest-ending command
+/// before its close. The caller closes the residual.
+void AttributeLogWindow(const std::vector<CommandRecord>& cmds,
+                        const std::vector<Node>& nodes, const LogWindow& win,
+                        ResourceCycles* attr) {
+  const int32_t sink = SinkBefore(nodes, win.end);
+  if (sink >= 0 && win.end_cycles > win.begin_cycles) {
+    AttributeWindow(cmds, nodes, sink, win.begin_cycles, win.end_cycles, attr,
+                    nullptr);
+  }
+}
+
+/// Rejects command `i` when a dependency index points forward, which
+/// would make the "DAG" cyclic.
+Status CheckEdges(const CommandRecord& rec, std::size_t i) {
+  const std::pair<const char*, int32_t> preds[] = {
+      {"wait_pred", rec.wait_pred}, {"link_pred", rec.link_pred}};
+  for (const auto& [field, pred] : preds) {
+    if (pred >= static_cast<int32_t>(i)) {
+      return Status::InvalidArgument(
+          "critpath: command " + std::to_string(i) + " has " + field + " " +
+          std::to_string(pred) +
+          " pointing forward — dependency edges must reference earlier "
+          "commands (a forward edge would make the DAG cyclic)");
+    }
+  }
+  return Status::Ok();
 }
 
 ResourceClass ArgmaxClass(const ResourceCycles& a) {
@@ -607,29 +629,16 @@ Result<CritpathReport> Analyze(const CommandLog& log,
 
   // -- Validation: the recorded structure must be a DAG with balanced
   // phase markers; reject malformed hand-built logs loudly instead of
-  // producing a silently wrong report.
-  std::vector<std::pair<std::string, std::pair<std::size_t, double>>>
-      open_phases;
-  std::vector<PhaseInstance> instances;
+  // producing a silently wrong report. The same pass pairs the markers
+  // into phase instances and finds each command's innermost open phase.
+  std::vector<std::size_t> open_phases;  // begin-marker indices
+  std::vector<LogWindow> instances;
+  std::vector<int32_t> phase_of(cmds.size(), -1);  // begin-marker index
   for (std::size_t i = 0; i < cmds.size(); ++i) {
     const CommandRecord& rec = cmds[i];
-    const auto idx = static_cast<int32_t>(i);
-    if (rec.wait_pred >= idx) {
-      return Status::InvalidArgument(
-          "critpath: command " + std::to_string(i) +
-          " has wait_pred " + std::to_string(rec.wait_pred) +
-          " pointing forward — dependency edges must reference earlier "
-          "commands (a forward edge would make the DAG cyclic)");
-    }
-    if (rec.link_pred >= idx) {
-      return Status::InvalidArgument(
-          "critpath: command " + std::to_string(i) +
-          " has link_pred " + std::to_string(rec.link_pred) +
-          " pointing forward — dependency edges must reference earlier "
-          "commands (a forward edge would make the DAG cyclic)");
-    }
+    if (Status edges = CheckEdges(rec, i); !edges.ok()) return edges;
     if (rec.kind == CommandRecord::Kind::kPhaseBegin) {
-      open_phases.push_back({rec.name, {i, rec.start}});
+      open_phases.push_back(i);
     } else if (rec.kind == CommandRecord::Kind::kPhaseEnd) {
       if (open_phases.empty()) {
         return Status::InvalidArgument(
@@ -637,28 +646,25 @@ Result<CritpathReport> Analyze(const CommandLog& log,
             "\" at command " + std::to_string(i) +
             " has no matching phase-begin (unbalanced markers)");
       }
-      if (open_phases.back().first != rec.name) {
+      const CommandRecord& begin = cmds[open_phases.back()];
+      if (begin.name != rec.name) {
         return Status::InvalidArgument(
             "critpath: phase-end marker \"" + rec.name +
-            "\" at command " + std::to_string(i) +
-            " closes phase \"" + open_phases.back().first +
-            "\" (markers must nest)");
+            "\" at command " + std::to_string(i) + " closes phase \"" +
+            begin.name + "\" (markers must nest)");
       }
-      PhaseInstance inst;
-      inst.name = rec.name;
-      inst.begin_idx = open_phases.back().second.first;
-      inst.begin_cycles = open_phases.back().second.second;
-      inst.end_idx = i;
-      inst.end_cycles = rec.start;
-      instances.push_back(std::move(inst));
+      instances.push_back(
+          {open_phases.back(), i, begin.start, rec.start, true});
       open_phases.pop_back();
+    } else if (!open_phases.empty()) {
+      phase_of[i] = static_cast<int32_t>(open_phases.back());
     }
   }
   // An overflowed log is a prefix of the run: the cut may fall inside
   // phases, which then get no entry. Only a complete log must balance.
   if (!open_phases.empty() && log.dropped() == 0) {
     return Status::InvalidArgument(
-        "critpath: phase-begin marker \"" + open_phases.back().first +
+        "critpath: phase-begin marker \"" + cmds[open_phases.back()].name +
         "\" is never closed (unbalanced markers)");
   }
 
@@ -701,7 +707,9 @@ Result<CritpathReport> Analyze(const CommandLog& log,
     info.index = static_cast<int32_t>(i);
     info.kind = cmds[i].kind;
     info.name = cmds[i].name;
-    info.phase = cmds[i].phase;
+    if (phase_of[i] >= 0) {
+      info.phase = cmds[static_cast<std::size_t>(phase_of[i])].name;
+    }
     info.stream = cmds[i].stream;
     info.start = replay.nodes[i].start;
     info.end = replay.nodes[i].end;
@@ -729,10 +737,11 @@ Result<CritpathReport> Analyze(const CommandLog& log,
   // wall is accumulated with the same `end - begin` additions in the same
   // order as RunProfile::Record, and the residual closes attribution to
   // it bit-exactly.
-  for (const PhaseInstance& inst : instances) {
+  for (const LogWindow& inst : instances) {
+    const std::string& name = cmds[inst.begin].name;
     PhaseBottleneck* ph = nullptr;
     for (PhaseBottleneck& existing : report.phases) {
-      if (existing.name == inst.name) {
+      if (existing.name == name) {
         ph = &existing;
         break;
       }
@@ -740,15 +749,11 @@ Result<CritpathReport> Analyze(const CommandLog& log,
     if (ph == nullptr) {
       report.phases.emplace_back();
       ph = &report.phases.back();
-      ph->name = inst.name;
+      ph->name = name;
     }
     ++ph->invocations;
     ph->cycles += inst.end_cycles - inst.begin_cycles;
-    const int32_t phase_sink = SinkBefore(replay.nodes, inst.end_idx);
-    if (phase_sink >= 0 && inst.end_cycles > inst.begin_cycles) {
-      AttributeWindow(cmds, replay.nodes, phase_sink, inst.begin_cycles,
-                      inst.end_cycles, &ph->attribution, nullptr);
-    }
+    AttributeLogWindow(cmds, replay.nodes, inst, &ph->attribution);
   }
   for (PhaseBottleneck& ph : report.phases) {
     CloseResidual(&ph.attribution, ph.cycles);
@@ -796,6 +801,30 @@ Result<CritpathReport> Analyze(const gpusim::Device& device) {
   options.total_cycles = device.now_cycles();
   options.link_busy_cycles = device.streams().link_busy_cycles();
   return Analyze(device.critpath(), options);
+}
+
+Result<std::vector<PhaseBottleneck>> AttributeWindows(
+    const CommandLog& log, const std::vector<LogWindow>& windows) {
+  const std::vector<CommandRecord>& cmds = log.commands();
+  for (std::size_t i = 0; i < cmds.size(); ++i) {
+    if (Status edges = CheckEdges(cmds[i], i); !edges.ok()) return edges;
+  }
+  // Analyze's exact replay; slack edges are only read by its slack pass.
+  const Replay replay = ReplayTimeline(cmds, UnitFactors(),
+                                       /*use_recorded_bases=*/true,
+                                       /*collect_edges=*/false);
+  std::vector<PhaseBottleneck> out(windows.size());
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    const LogWindow& win = windows[i];
+    if (!win.complete || win.end > cmds.size()) continue;
+    PhaseBottleneck& ph = out[i];
+    ph.invocations = 1;
+    ph.cycles = win.end_cycles - win.begin_cycles;
+    AttributeLogWindow(cmds, replay.nodes, win, &ph.attribution);
+    CloseResidual(&ph.attribution, ph.cycles);
+    ph.binding = ArgmaxClass(ph.attribution);
+  }
+  return out;
 }
 
 std::string CritpathReport::ToJson() const {

@@ -53,13 +53,8 @@ struct CommandRecord {
   Kind kind = Kind::kHostWork;
   gpusim::StreamId stream = gpusim::kDefaultStream;
   std::string name;
-  /// Innermost open phase at submission ("" outside every phase).
-  std::string phase;
   double start = 0;
   double end = 0;
-  /// kPhaseBegin only: opened by a PhaseScope, so the timeline draws the
-  /// phase (plan-profiler brackets stay off it).
-  bool phase_scope = false;
 
   // Kernel decomposition.
   double launch_cycles = 0;  // fixed dispatch overhead (compute class)
@@ -200,6 +195,8 @@ struct SpanInfo {
   int32_t index = -1;
   CommandRecord::Kind kind = CommandRecord::Kind::kHostWork;
   std::string name;
+  /// Innermost phase open at submission, paired from the log's markers
+  /// ("" outside every phase).
   std::string phase;
   gpusim::StreamId stream = gpusim::kDefaultStream;
   double start = 0;
@@ -259,13 +256,6 @@ struct CritpathReport {
   std::vector<PhaseBottleneck> phases;
   std::vector<WhatIf> whatifs;  // empty when partial
 
-  const PhaseBottleneck* FindPhase(const std::string& name) const {
-    for (const PhaseBottleneck& ph : phases) {
-      if (ph.name == name) return &ph;
-    }
-    return nullptr;
-  }
-
   /// gamma.critpath.v1 JSON document.
   std::string ToJson() const;
 };
@@ -291,6 +281,29 @@ Result<CritpathReport> Analyze(const CommandLog& log,
 /// Convenience overload pulling log, clock, and link occupancy from a
 /// finished device.
 Result<CritpathReport> Analyze(const gpusim::Device& device);
+
+/// A stretch of the command log that a reader bracketed without writing
+/// into the log: the log's size and the device clock when it opened and
+/// closed. The plan profiler keeps one per plan level. A phase instance
+/// is the window between its two markers.
+struct LogWindow {
+  std::size_t begin = 0;    ///< log size at the open
+  std::size_t end = 0;      ///< log size at the close
+  double begin_cycles = 0;  ///< device clock at the open
+  double end_cycles = 0;    ///< device clock at the close
+  /// The log had dropped nothing by the close, so the window lies before
+  /// the cut. Only such a window is attributed.
+  bool complete = false;
+};
+
+/// Resource attribution of each window, one entry per window: the exact
+/// replay and binding-chain walk `Analyze` gives one phase instance, so
+/// a window equals the `Analyze` entry of a single-instance phase over
+/// the same interval bit for bit. A window that is not `complete` gets
+/// `invocations` 0 and no attribution. Runs no slack pass and no what-if
+/// replay. Fails like `Analyze` on forward dependency indices.
+Result<std::vector<PhaseBottleneck>> AttributeWindows(
+    const CommandLog& log, const std::vector<LogWindow>& windows);
 
 }  // namespace gpm::prof
 

@@ -76,6 +76,7 @@ Device::~Device() {
 void Device::EnableSanitizer(Sanitizer::Options options) {
   sanitizer_ = std::make_unique<Sanitizer>(options);
   sanitizer_->BindClock(&clock_cycles_);
+  sanitizer_->BindPhases(&phase_stack_);
   memory_.set_sanitizer(sanitizer_.get());
   unified_.set_sanitizer(sanitizer_.get());
   // Everything that predates the sanitizer is baseline: treated as

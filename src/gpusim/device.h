@@ -144,17 +144,15 @@ class Device {
   void BeginSortActivity() { ++sort_depth_; }
   void EndSortActivity() { --sort_depth_; }
 
-  /// Phase bracket, driven by PhaseScope (`scope`, which the timeline
-  /// draws) and the plan profiler. The stack is always maintained (cheap);
-  /// begin/end marker records are appended only while the command log is
-  /// enabled, so the analyzer can attribute spans to phases.
-  void BeginPhaseMark(const std::string& name, bool scope = false) {
+  /// Phase bracket, driven only by PhaseScope. The stack of open phases
+  /// is always maintained (cheap) and the sanitizer reads it; begin/end
+  /// marker records are appended only while the command log is enabled,
+  /// and every view of the log pairs them into the same phases.
+  void BeginPhaseMark(const std::string& name) {
     if (critpath_.enabled()) {
-      prof::CommandRecord rec =
-          MakeCommand(prof::CommandRecord::Kind::kPhaseBegin, kDefaultStream,
-                      name, clock_cycles_, clock_cycles_);
-      rec.phase_scope = scope;
-      critpath_.Append(std::move(rec));
+      critpath_.Append(MakeCommand(prof::CommandRecord::Kind::kPhaseBegin,
+                                   kDefaultStream, name, clock_cycles_,
+                                   clock_cycles_));
     }
     phase_stack_.push_back(name);
   }
@@ -167,12 +165,6 @@ class Device {
                                    kDefaultStream, std::move(name),
                                    clock_cycles_, clock_cycles_));
     }
-  }
-
-  /// Innermost open phase name, or "" outside every phase.
-  const std::string& current_phase() const {
-    static const std::string kEmpty;
-    return phase_stack_.empty() ? kEmpty : phase_stack_.back();
   }
 
   // -- Streams and events -----------------------------------------------------
@@ -488,16 +480,15 @@ class Device {
   }
 
   /// A command record with the fields every kind shares: kind, stream,
-  /// name, the innermost open phase, and the [start, end] window. Callers
-  /// add their kind's cost decomposition before appending it.
-  prof::CommandRecord MakeCommand(prof::CommandRecord::Kind kind,
-                                  StreamId stream, std::string name,
-                                  double start, double end) const {
+  /// name, and the [start, end] window. Callers add their kind's cost
+  /// decomposition before appending it.
+  static prof::CommandRecord MakeCommand(prof::CommandRecord::Kind kind,
+                                         StreamId stream, std::string name,
+                                         double start, double end) {
     prof::CommandRecord rec;
     rec.kind = kind;
     rec.stream = stream;
     rec.name = std::move(name);
-    rec.phase = current_phase();
     rec.start = start;
     rec.end = end;
     return rec;

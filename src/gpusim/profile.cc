@@ -11,9 +11,7 @@ namespace {
 
 void WriteCounters(JsonWriter& w, const DeviceStats& stats) {
   w.Key("counters").BeginObject();
-  for (const DeviceStats::Field& f : DeviceStats::Fields()) {
-    w.Key(f.name).Value(stats.*f.member);
-  }
+  WriteStatsFields(w, stats);
   w.EndObject();
 }
 
@@ -99,17 +97,14 @@ PhaseScope::PhaseScope(Device* device, std::string name)
       name_(std::move(name)),
       start_cycles_(device->now_cycles()),
       start_stats_(device->stats().Snapshot()) {
-  // The sanitizer attributes findings to the innermost open phase.
-  if (Sanitizer* san = device_->sanitizer()) san->PushPhase(name_);
-  // gamma-prof attributes command records to the innermost open phase;
-  // the markers let the critpath analyzer rebuild the phase windows and
-  // the timeline draw the phase.
-  device_->BeginPhaseMark(name_, /*scope=*/true);
+  // The device's phase stack names the phase for the sanitizer; its log
+  // markers let the critpath analyzer rebuild the phase windows and the
+  // timeline draw the phase.
+  device_->BeginPhaseMark(name_);
 }
 
 PhaseScope::~PhaseScope() {
   device_->EndPhaseMark();
-  if (Sanitizer* san = device_->sanitizer()) san->PopPhase();
   device_->profile().Record(name_, device_->now_cycles() - start_cycles_,
                             device_->stats().Diff(start_stats_));
 }

@@ -53,11 +53,12 @@ class RunProfile {
   std::vector<PhaseRecord> phases_;
 };
 
-/// RAII phase marker: snapshots the device clock and counters at
-/// construction and attributes the difference to `name` in the device's
-/// RunProfile at destruction. It also brackets the phase for the
-/// sanitizer and the command log, whose markers the timeline draws the
-/// phase span from.
+/// RAII phase marker and the only source of phases: snapshots the device
+/// clock and counters at construction and attributes the difference to
+/// `name` in the device's RunProfile at destruction. It also opens the
+/// phase on the device's phase stack, which names it for the sanitizer,
+/// and brackets it in the command log, whose markers the critpath
+/// analyzer and the timeline pair into the same phase.
 class PhaseScope {
  public:
   PhaseScope(Device* device, std::string name);

@@ -121,6 +121,11 @@ class Sanitizer {
   /// only — the sanitizer never advances it). The pointer must outlive this
   /// object; Device::EnableSanitizer binds its own clock.
   void BindClock(const double* now_cycles) { now_cycles_ = now_cycles; }
+  /// Attributes findings to the innermost phase open on `phases` (the
+  /// device's PhaseScope stack). Same lifetime rule as BindClock.
+  void BindPhases(const std::vector<std::string>* phases) {
+    phases_ = phases;
+  }
 
   // -- Allocation lifetime (DeviceMemory / UnifiedMemory hooks) -------------
 
@@ -153,10 +158,6 @@ class Sanitizer {
 
   void BeginKernel(StreamId stream, const char* name);
   void EndKernel();
-  void PushPhase(const std::string& name) { phase_stack_.push_back(name); }
-  void PopPhase() {
-    if (!phase_stack_.empty()) phase_stack_.pop_back();
-  }
 
   /// A non-kernel command (explicit copy) was submitted on `stream`:
   /// advances the stream's vector-clock epoch.
@@ -226,12 +227,14 @@ class Sanitizer {
                   std::string message, const std::string& extra_key = "");
   std::string ObjectName(const ShadowObject* obj) const;
   std::string CurrentPhase() const {
-    return phase_stack_.empty() ? std::string() : phase_stack_.back();
+    return phases_ == nullptr || phases_->empty() ? std::string()
+                                                  : phases_->back();
   }
 
   Options options_;
   Activity activity_;
   const double* now_cycles_ = nullptr;
+  const std::vector<std::string>* phases_ = nullptr;
 
   std::unordered_map<uint64_t, ShadowObject> objects_;
   uint64_t next_scratch_ = kScratchHandleBase + 1;
@@ -246,7 +249,6 @@ class Sanitizer {
   bool in_kernel_ = false;
   StreamId kernel_stream_ = kDefaultStream;
   std::string kernel_name_;
-  std::vector<std::string> phase_stack_;
 
   std::vector<Finding> findings_;
   std::unordered_map<std::string, std::size_t> finding_index_;

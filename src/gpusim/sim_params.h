@@ -6,6 +6,11 @@
 
 namespace gpm::gpusim {
 
+/// Largest `SimParams::num_warp_slots` the command-line drivers accept:
+/// every launch sizes per-slot state from it (16 B a slot, 48 B more with
+/// the command log on). The V100 preset uses 1,024.
+inline constexpr int kMaxWarpSlots = 65536;
+
 /// Cost-model parameters of the simulated CPU-GPU heterogeneous platform.
 ///
 /// All latencies are expressed in simulated device cycles; the clock runs at

@@ -1,7 +1,6 @@
 #include "gpusim/stats.h"
 
 #include <sstream>
-#include <utility>
 
 #include "common/json.h"
 
@@ -39,15 +38,10 @@ DeviceStats DeviceStats::Diff(const DeviceStats& since) const {
   return d;
 }
 
-std::string StatsJson(const DeviceStats& stats) {
-  std::ostringstream os;
-  JsonWriter w(os);
-  w.BeginObject();
+void WriteStatsFields(JsonWriter& w, const DeviceStats& stats) {
   for (const DeviceStats::Field& f : DeviceStats::Fields()) {
     w.Key(f.name).Value(stats.*f.member);
   }
-  w.EndObject();
-  return std::move(os).str();
 }
 
 std::string DeviceStats::ToString() const {

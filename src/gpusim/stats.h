@@ -6,6 +6,10 @@
 #include <span>
 #include <string>
 
+namespace gpm {
+class JsonWriter;
+}  // namespace gpm
+
 namespace gpm::gpusim {
 
 /// Hardware event counters accumulated over the lifetime of a Device.
@@ -40,7 +44,8 @@ struct DeviceStats {
   uint64_t pool_blocks_wasted = 0;
 
   /// One named counter; Fields() enumerates every counter exactly once, so
-  /// Diff(), StatsJson(), and the tests cannot drift from the struct.
+  /// Diff(), WriteStatsFields(), and the tests cannot drift from the
+  /// struct.
   struct Field {
     const char* name;
     uint64_t DeviceStats::*member;
@@ -60,8 +65,10 @@ struct DeviceStats {
   std::string ToString() const;
 };
 
-/// Renders every DeviceStats counter as one JSON object.
-std::string StatsJson(const DeviceStats& stats);
+/// Writes every DeviceStats counter as a `"name": value` member, in
+/// Fields() order, into the JSON object `w` has open. The one writer of
+/// counters in every document.
+void WriteStatsFields(JsonWriter& w, const DeviceStats& stats);
 
 /// Tracks simulated host-memory footprint (embedding tables, graph copies).
 /// Fig. 10 reports peak host+device memory; device peak comes from the

@@ -140,10 +140,8 @@ std::string TraceRecorder::ToChromeTraceJson(const SimParams& params) const {
         break;
       case prof::CommandRecord::Kind::kPhaseEnd:
         if (open_phases.empty()) break;
-        if (open_phases.back()->phase_scope) {
-          span({kDevicePid, kPhaseTid}, "phase", open_phases.back()->name,
-               open_phases.back()->start, rec.end);
-        }
+        span({kDevicePid, kPhaseTid}, "phase", open_phases.back()->name,
+             open_phases.back()->start, rec.end);
         open_phases.pop_back();
         break;
       default:

@@ -34,6 +34,10 @@ expect_exit(1 "--observe: missing or malformed value" --observe)
 expect_exit(1 "--observe: missing or malformed value" --observe bogus)
 expect_exit(1 "--warps wants N >= 1" --warps 0)
 expect_exit(1 "--warps wants N >= 1" --warps -3)
+# Refused at parse time: a binary that lost the cap would size every
+# launch's slot state from N (about 32 GiB at 2^31 - 1).
+expect_exit(1 "--warps wants N <= 65536" --warps 65537)
+expect_exit(1 "--warps wants N <= 65536" --warps 2147483647)
 expect_exit(1 "--host-threads wants N >= 1" --host-threads 0)
 # One past the cap: a binary that lost it would start 256 threads, no more.
 expect_exit(1 "--host-threads wants N <= 256" --host-threads 257)

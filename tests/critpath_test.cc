@@ -4,10 +4,13 @@
 // containment within phase windows, the bit-exact identity between
 // critical-path length and the end-to-end clock on single-stream runs
 // (and <= on multi-stream), the exact fold-sum decomposition of phase
-// attributions, and the what-if factor-1.0 identity projection.
+// attributions, the what-if factor-1.0 identity projection, and window
+// attribution: a reader-kept window of the log gets exactly the
+// attribution Analyze gives a phase instance over the same interval.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "common/random.h"
 #include "core/compiled_engine.h"
@@ -41,6 +44,15 @@ double FoldSum(const ResourceCycles& a) {
     s += a[static_cast<std::size_t>(c)];
   }
   return s;
+}
+
+/// The report's entry for phase `name`, or nullptr.
+const PhaseBottleneck* FindPhase(const CritpathReport& report,
+                                 const std::string& name) {
+  for (const PhaseBottleneck& ph : report.phases) {
+    if (ph.name == name) return &ph;
+  }
+  return nullptr;
 }
 
 CommandRecord HostWork(double start, double charge) {
@@ -165,10 +177,10 @@ TEST(CritpathAnalyzeTest, HandBuiltSerialChainIsExact) {
                 ResourceClass::kCompute)],
             15.0);
   EXPECT_EQ(FoldSum(report.resource_cycles), report.critical_path_cycles);
-  ASSERT_NE(report.FindPhase("p"), nullptr);
-  EXPECT_EQ(report.FindPhase("p")->cycles, 15.0);
-  EXPECT_EQ(FoldSum(report.FindPhase("p")->attribution), 15.0);
-  EXPECT_EQ(report.FindPhase("p")->binding, ResourceClass::kCompute);
+  ASSERT_NE(FindPhase(report, "p"), nullptr);
+  EXPECT_EQ(FindPhase(report, "p")->cycles, 15.0);
+  EXPECT_EQ(FoldSum(FindPhase(report, "p")->attribution), 15.0);
+  EXPECT_EQ(FindPhase(report, "p")->binding, ResourceClass::kCompute);
   // Both real commands sit on the (only) chain: zero slack.
   for (const SpanInfo& s : report.spans) EXPECT_EQ(s.slack, 0.0);
   // Identity what-if reproduces the total exactly.
@@ -176,6 +188,27 @@ TEST(CritpathAnalyzeTest, HandBuiltSerialChainIsExact) {
   EXPECT_EQ(report.whatifs.front().cost_factor, 1.0);
   EXPECT_EQ(report.whatifs.front().projected_cycles,
             report.critical_path_cycles);
+}
+
+// A span's phase is the innermost phase its markers have open.
+TEST(CritpathAnalyzeTest, SpanPhaseIsInnermostOpenMarker) {
+  CommandLog log;
+  log.set_enabled(true);
+  log.Append(HostWork(0, 1));
+  log.Append(Marker(Kind::kPhaseBegin, "outer", 1));
+  log.Append(HostWork(1, 1));
+  log.Append(Marker(Kind::kPhaseBegin, "inner", 2));
+  log.Append(HostWork(2, 1));
+  log.Append(Marker(Kind::kPhaseEnd, "inner", 3));
+  log.Append(HostWork(3, 1));
+  log.Append(Marker(Kind::kPhaseEnd, "outer", 4));
+  log.Append(HostWork(4, 1));
+  auto analyzed = Analyze(log, {});
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+  std::vector<std::string> phases;
+  for (const SpanInfo& s : analyzed.value().spans) phases.push_back(s.phase);
+  EXPECT_EQ(phases, (std::vector<std::string>{"", "outer", "inner", "outer",
+                                              ""}));
 }
 
 TEST(CritpathAnalyzeTest, PartialLogSuppressesWhatIfs) {
@@ -212,11 +245,11 @@ TEST(CritpathAnalyzeTest, PartialLogSuppressesWhatIfs) {
   // at the cut gets none.
   auto analyzed = Analyze(inside, {});
   ASSERT_TRUE(analyzed.ok());
-  const PhaseBottleneck* closed = analyzed.value().FindPhase("closed");
+  const PhaseBottleneck* closed = FindPhase(analyzed.value(), "closed");
   ASSERT_NE(closed, nullptr);
   EXPECT_EQ(closed->cycles, 10.0);
   EXPECT_EQ(FoldSum(closed->attribution), 10.0);
-  EXPECT_EQ(analyzed.value().FindPhase("cut"), nullptr);
+  EXPECT_EQ(FindPhase(analyzed.value(), "cut"), nullptr);
 }
 
 /// Runs triangle counting through the engine on a recording device and
@@ -353,6 +386,101 @@ TEST(CritpathEngineTest, ReportJsonCarriesSchemaAndIdentity) {
   EXPECT_NE(json.find("\"whatif\""), std::string::npos);
   EXPECT_NE(json.find("\"critical_path\""), std::string::npos);
   EXPECT_NE(json.find("\"sync_idle\""), std::string::npos);
+}
+
+// --- Window attribution --------------------------------------------------
+
+// Every PhaseScope instance, read as a window between its markers, gets
+// the attribution Analyze gives a phase that ran once, bit for bit.
+TEST(AttributeWindowsTest, PhaseScopeWindowsMatchAnalyze) {
+  gpusim::Device device(RecordingParams());
+  CritpathReport report = EngineReport(1, &device);
+  const std::vector<CommandRecord>& cmds = device.critpath().commands();
+  std::vector<LogWindow> windows;
+  std::vector<std::string> names;
+  std::vector<std::size_t> open;
+  for (std::size_t i = 0; i < cmds.size(); ++i) {
+    if (cmds[i].kind == Kind::kPhaseBegin) open.push_back(i);
+    if (cmds[i].kind != Kind::kPhaseEnd) continue;
+    windows.push_back(
+        {open.back(), i, cmds[open.back()].start, cmds[i].start, true});
+    names.push_back(cmds[i].name);
+    open.pop_back();
+  }
+  auto attributed = AttributeWindows(device.critpath(), windows);
+  ASSERT_TRUE(attributed.ok()) << attributed.status().ToString();
+  ASSERT_EQ(attributed.value().size(), windows.size());
+  int single = 0;
+  for (std::size_t w = 0; w < windows.size(); ++w) {
+    const PhaseBottleneck& got = attributed.value()[w];
+    EXPECT_EQ(got.invocations, 1u) << names[w];
+    EXPECT_EQ(FoldSum(got.attribution), got.cycles) << names[w];
+    const PhaseBottleneck* ph = FindPhase(report, names[w]);
+    ASSERT_NE(ph, nullptr) << names[w];
+    if (ph->invocations != 1) continue;
+    ++single;
+    EXPECT_EQ(got.cycles, ph->cycles) << names[w];
+    EXPECT_TRUE(got.attribution == ph->attribution) << names[w];
+    EXPECT_EQ(got.binding, ph->binding) << names[w];
+  }
+  EXPECT_GT(single, 0) << "the run needs a phase that ran once";
+}
+
+// A window ends where the log stood at its close: a later command on
+// another stream that ends after the window is not its sink.
+TEST(AttributeWindowsTest, WindowEndsAtItsClose) {
+  CommandLog log;
+  log.set_enabled(true);
+  log.Append(HostWork(0, 10));
+  CommandRecord later = HostWork(5, 10);
+  later.stream = 1;
+  log.Append(later);
+  auto attributed = AttributeWindows(log, {{0, 1, 0, 10, true}});
+  ASSERT_TRUE(attributed.ok()) << attributed.status().ToString();
+  const PhaseBottleneck& ph = attributed.value()[0];
+  EXPECT_EQ(ph.invocations, 1u);
+  EXPECT_EQ(ph.cycles, 10.0);
+  EXPECT_EQ(ph.attribution[static_cast<std::size_t>(ResourceClass::kCompute)],
+            10.0);
+  EXPECT_EQ(FoldSum(ph.attribution), 10.0);
+  EXPECT_EQ(ph.binding, ResourceClass::kCompute);
+}
+
+// Only a window that closed before the log's cut is attributed.
+TEST(AttributeWindowsTest, WindowClosedAfterCutIsNotAttributed) {
+  CommandLog log;
+  log.set_enabled(true);
+  log.set_capacity(2);
+  log.Append(HostWork(0, 10));
+  const LogWindow before{0, log.commands().size(), 0, 10,
+                         log.dropped() == 0};
+  log.Append(HostWork(10, 10));
+  log.Append(HostWork(20, 10));  // dropped
+  const LogWindow after{1, log.commands().size(), 10, 30,
+                        log.dropped() == 0};
+  ASSERT_TRUE(before.complete);
+  ASSERT_FALSE(after.complete);
+  auto attributed = AttributeWindows(log, {before, after});
+  ASSERT_TRUE(attributed.ok()) << attributed.status().ToString();
+  EXPECT_EQ(attributed.value()[0].invocations, 1u);
+  EXPECT_EQ(FoldSum(attributed.value()[0].attribution), 10.0);
+  EXPECT_EQ(attributed.value()[1].invocations, 0u);
+  EXPECT_EQ(FoldSum(attributed.value()[1].attribution), 0.0);
+}
+
+TEST(AttributeWindowsTest, RejectsForwardEdges) {
+  CommandLog log;
+  log.set_enabled(true);
+  CommandRecord wait;
+  wait.kind = Kind::kEventWait;
+  wait.name = "wait-event";
+  wait.wait_pred = 5;
+  log.Append(wait);
+  auto attributed = AttributeWindows(log, {{0, 1, 0, 0, true}});
+  ASSERT_FALSE(attributed.ok());
+  EXPECT_NE(attributed.status().ToString().find("forward"),
+            std::string::npos)
+      << attributed.status().ToString();
 }
 
 }  // namespace

@@ -290,7 +290,6 @@ void ExpectSameCommands(const std::vector<prof::CommandRecord>& a,
     EXPECT_EQ(x.kind, y.kind) << at;
     EXPECT_EQ(x.stream, y.stream) << at;
     EXPECT_EQ(x.name, y.name) << at;
-    EXPECT_EQ(x.phase, y.phase) << at;
     EXPECT_EQ(x.start, y.start) << at;
     EXPECT_EQ(x.end, y.end) << at;
     EXPECT_EQ(x.makespan, y.makespan) << at;

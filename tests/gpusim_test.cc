@@ -8,6 +8,7 @@
 #include <list>
 #include <map>
 #include <queue>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -15,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/json.h"
 #include "common/random.h"
 #include "gpusim/device.h"
 #include "gpusim/host_array.h"
@@ -877,7 +879,12 @@ TEST(StatsTest, JsonListsEveryCounter) {
   for (const DeviceStats::Field& f : DeviceStats::Fields()) {
     stats.*f.member = v++;
   }
-  std::string json = StatsJson(stats);
+  std::ostringstream os;
+  JsonWriter w(os);
+  w.BeginObject();
+  WriteStatsFields(w, stats);
+  w.EndObject();
+  const std::string json = os.str();
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
   v = 100;

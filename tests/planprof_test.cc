@@ -3,8 +3,10 @@
 // all four workload presets (k-clique, motif census, FPM, subgraph
 // matching) plus a labeled SM query; the observation-only contract is
 // enforced (a profiled run is bit-identical in cycles and every
-// DeviceStats counter to an unprofiled one); and the gamma.planprof.v1
-// document is parsed back and cross-checked.
+// DeviceStats counter to an unprofiled one, and its critpath document is
+// byte-identical); the gamma.planprof.v1 document is parsed back and
+// cross-checked; a failed run never finishes; and an overflowed log
+// attributes only the windows closed before its cut.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -18,6 +20,7 @@
 #include "core/plan_profiler.h"
 #include "graph/csr.h"
 #include "graph/pattern.h"
+#include "gpusim/critpath.h"
 #include "gpusim/device.h"
 #include "gpusim/resource_class.h"
 #include "gpusim/sim_params.h"
@@ -70,8 +73,9 @@ struct ProfiledRun {
   gpusim::Device device;
   GammaEngine engine;
 
-  explicit ProfiledRun(const graph::Graph& g, bool profile = true)
-      : device(TestParams()),
+  explicit ProfiledRun(const graph::Graph& g, bool profile = true,
+                       gpusim::SimParams params = TestParams())
+      : device(params),
         engine(&device, &g, [&] {
           GammaOptions o;
           o.plan_profile = profile;
@@ -396,6 +400,91 @@ TEST(PlanProfTest, SecondRunReplacesFirst) {
   ASSERT_TRUE(prof->has_run());
   ASSERT_EQ(prof->segments().size(), 4u);
   EXPECT_EQ(prof->segments().back().label, "aggregate");
+}
+
+// --- Independence, failed runs and overflowed logs ---------------------------
+
+// The profiler only reads the log: a plan run's critpath document is
+// byte-identical without the profiler and for each of two profiled runs
+// in one process.
+TEST(PlanProfTest, CritpathDocumentIgnoresProfiler) {
+  graph::Graph g = PendantK4();
+  auto critpath_json = [&g](bool profile) {
+    ProfiledRun run(g, profile);
+    EXPECT_TRUE(run.Run(PatternCompiler(&g).CompileKClique(4, false)).ok());
+    EXPECT_EQ(run.prof() != nullptr && run.prof()->has_run(), profile);
+    auto report = prof::Analyze(run.device);
+    EXPECT_TRUE(report.ok()) << report.status().ToString();
+    return report.ok() ? report.value().ToJson() : std::string();
+  };
+  const std::string off = critpath_json(false);
+  ASSERT_FALSE(off.empty());
+  EXPECT_EQ(critpath_json(true), off);
+  EXPECT_EQ(critpath_json(true), off);
+}
+
+// A run that fails never finishes: the log stays analyzable, and the next
+// run on the same engine profiles every level from a clean start.
+TEST(PlanProfTest, FailedRunNeverFinishes) {
+  graph::Graph g = PendantK4();
+  gpusim::SimParams params = TestParams();
+  params.device_memory_bytes = 4 << 20;  // no room for the 4 MiB pool
+  ProfiledRun run(g, /*profile=*/true, params);
+  auto plan = PatternCompiler(&g).CompileKClique(3, false);
+  ASSERT_TRUE(plan.ok());
+  auto failed = run.Run(plan);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), ErrorCode::kDeviceOutOfMemory)
+      << failed.status().ToString();
+  EXPECT_FALSE(run.prof()->has_run());
+  auto analyzed = prof::Analyze(run.device);
+  EXPECT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+
+  // The naive two-pass strategy reserves no pool.
+  CompiledPlan naive = plan.value();
+  for (CompiledLevel& level : naive.levels) {
+    level.write_strategy = WriteStrategy::kNaiveTwoPass;
+  }
+  auto r = CompiledEngine(&run.engine).Run(naive);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value().embeddings, 4u);
+  ASSERT_TRUE(run.prof()->has_run());
+  ASSERT_EQ(run.prof()->segments().size(), 3u);
+  for (const PlanProfSegment& seg : run.prof()->segments()) {
+    EXPECT_TRUE(seg.attributed) << seg.label;
+  }
+}
+
+// On an overflowed log only the windows that closed before the cut are
+// attributed, each exactly as on a complete log.
+TEST(PlanProfTest, OverflowAttributesOnlyWindowsClosedBeforeCut) {
+  graph::Graph g = PendantK4();
+  auto plan = PatternCompiler(&g).CompileKClique(3, false);
+  ProfiledRun full(g);
+  ASSERT_TRUE(full.Run(plan).ok());
+  const std::vector<PlanProfSegment> complete = full.prof()->segments();
+  ASSERT_EQ(complete.size(), 3u);
+  ASSERT_GT(complete[1].window.end, complete[1].window.begin + 1);
+
+  // Cut the log after L1's first record.
+  ProfiledRun cut(g);
+  cut.device.critpath().set_capacity(complete[1].window.begin + 1);
+  ASSERT_TRUE(cut.Run(plan).ok());
+  PlanProfiler* prof = cut.prof();
+  ASSERT_TRUE(prof->has_run());
+  const std::vector<PlanProfSegment>& segs = prof->segments();
+  ASSERT_EQ(segs.size(), 3u);
+  EXPECT_TRUE(segs[0].attributed);
+  EXPECT_TRUE(segs[0].attribution == complete[0].attribution);
+  EXPECT_EQ(segs[0].binding, complete[0].binding);
+  for (std::size_t i = 1; i < segs.size(); ++i) {
+    EXPECT_FALSE(segs[i].attributed) << segs[i].label;
+    EXPECT_EQ(segs[i].cycles, complete[i].cycles) << segs[i].label;
+  }
+  minijson::Value doc;
+  ASSERT_TRUE(minijson::Parser(prof->ToJson()).Parse(&doc));
+  EXPECT_TRUE(doc.Find("partial")->boolean);
+  EXPECT_TRUE(doc.Find("attribution_available")->boolean);
 }
 
 }  // namespace

@@ -126,11 +126,9 @@ prof::CommandRecord Kernel(std::string name, double start, double end,
   return rec;
 }
 
-prof::CommandRecord PhaseBegin(std::string name, double at, bool scope) {
-  prof::CommandRecord rec =
-      Command(prof::CommandRecord::Kind::kPhaseBegin, std::move(name), at, at);
-  rec.phase_scope = scope;
-  return rec;
+prof::CommandRecord PhaseBegin(std::string name, double at) {
+  return Command(prof::CommandRecord::Kind::kPhaseBegin, std::move(name), at,
+                 at);
 }
 
 prof::CommandRecord PhaseEnd(std::string name, double at) {
@@ -210,8 +208,8 @@ TEST(TraceRecorderTest, ChromeJsonBalancedWithAwkwardSpans) {
   rec.BindLog(&log);
   rec.set_enabled(true);
   ASSERT_TRUE(log.enabled());
-  log.Append(PhaseBegin("outer", 0, true));
-  log.Append(PhaseBegin("mid", 2, true));
+  log.Append(PhaseBegin("outer", 0));
+  log.Append(PhaseBegin("mid", 2));
   log.Append(Kernel("inner", 2, 6, 1, {3, 0, 1.5}));
   log.Append(PhaseEnd("mid", 6));
   log.Append(Kernel("adjacent", 6, 10, 1, {3}));
@@ -219,7 +217,7 @@ TEST(TraceRecorderTest, ChromeJsonBalancedWithAwkwardSpans) {
   log.Append(Command(prof::CommandRecord::Kind::kCopy, "copy-h2d", 10, 10));
   log.Append(Command(prof::CommandRecord::Kind::kCopy, "copy-d2h", 4, 9, 2));
   log.Append(PhaseEnd("outer", 10));
-  log.Append(PhaseBegin("empty", 10, true));
+  log.Append(PhaseBegin("empty", 10));
   log.Append(PhaseEnd("empty", 10));
   rec.RecordUmEvent(Kind::kUmFault, 6, 1, 42);
   rec.RecordUmEvent(Kind::kUmHit, 6, 1, 42);
@@ -257,31 +255,6 @@ TEST(TraceRecorderTest, ChromeJsonBalancedWithAwkwardSpans) {
   EXPECT_EQ(slot0[1].begin, Us(7));
   EXPECT_EQ(slot0[1].end, Us(10));
   EXPECT_EQ(spans.at({2, 2}).front().end, Us(4.5));
-}
-
-// Plan-profiler brackets share the phase markers but are not phases: the
-// timeline draws only the pairs a PhaseScope opened.
-TEST(TraceRecorderTest, PlanprofBracketsAreNeverDrawn) {
-  prof::CommandLog log;
-  TraceRecorder rec;
-  rec.BindLog(&log);
-  rec.set_enabled(true);
-  log.Append(PhaseBegin("planprof/0/root", 0, false));
-  log.Append(PhaseBegin("vertex-extension", 0, true));
-  log.Append(PhaseBegin("planprof/0/level", 1, false));
-  log.Append(Kernel("k", 1, 5, 1, {2}));
-  log.Append(PhaseEnd("planprof/0/level", 5));
-  log.Append(PhaseEnd("vertex-extension", 5));
-  log.Append(PhaseEnd("planprof/0/root", 6));
-
-  minijson::Value doc;
-  SpanMap spans;
-  ASSERT_NO_FATAL_FAILURE(RenderTracks(rec, SimParams(), &doc, &spans));
-  const std::vector<JsonSpan> phases = SpansOf(spans, "phase");
-  ASSERT_EQ(phases.size(), 1u);
-  EXPECT_EQ(phases[0].name, "vertex-extension");
-  EXPECT_EQ(phases[0].begin, Us(0));
-  EXPECT_EQ(phases[0].end, Us(5));
 }
 
 // The profile's kernel trace is rendered from the command log, so the
@@ -445,8 +418,9 @@ TEST(DeviceTraceTest, EvictionEventsCarryVictimPage) {
 // The acceptance property: a quickstart-style workload (triangle counting
 // through the engine) exports a parseable Chrome trace where every track
 // is balanced and every kernel span is covered by an engine phase span.
-// The capacity drops most page instants, which must cost no span, and the
-// plan profiler's brackets in the same log stay off the phase track.
+// The capacity drops most page instants, which must cost no span. The
+// plan profiler reads the log without writing into it, so every phase
+// marker is a PhaseScope's and every begin marker is drawn.
 TEST(EngineTraceTest, QuickstartTimelinePhasesCoverKernels) {
   Rng rng(42);
   graph::Graph g = graph::Rmat(10, 6000, &rng);
@@ -477,24 +451,19 @@ TEST(EngineTraceTest, QuickstartTimelinePhasesCoverKernels) {
   std::vector<JsonSpan> phases = SpansOf(spans, "phase");
   ASSERT_FALSE(kernels.empty());
   ASSERT_FALSE(phases.empty());
+  ASSERT_TRUE(engine.plan_profiler()->has_run());
   std::size_t kernel_records = 0;
-  std::size_t scope_phases = 0;
-  std::size_t planprof_brackets = 0;
+  std::size_t begin_markers = 0;
   for (const prof::CommandRecord& rec : device.critpath().commands()) {
     if (rec.kind == prof::CommandRecord::Kind::kKernel) ++kernel_records;
-    if (rec.kind != prof::CommandRecord::Kind::kPhaseBegin) continue;
-    if (rec.phase_scope) {
-      ++scope_phases;
-    } else {
-      ++planprof_brackets;
+    if (rec.kind == prof::CommandRecord::Kind::kPhaseBegin ||
+        rec.kind == prof::CommandRecord::Kind::kPhaseEnd) {
+      EXPECT_NE(rec.name.rfind("planprof/", 0), 0u) << rec.name;
     }
+    if (rec.kind == prof::CommandRecord::Kind::kPhaseBegin) ++begin_markers;
   }
   EXPECT_EQ(kernels.size(), kernel_records);
-  EXPECT_EQ(phases.size(), scope_phases);
-  EXPECT_GT(planprof_brackets, 0u);
-  for (const JsonSpan& p : phases) {
-    EXPECT_NE(p.name.rfind("planprof/", 0), 0u) << p.name;
-  }
+  EXPECT_EQ(phases.size(), begin_markers);
   for (const JsonSpan& k : kernels) {
     bool covered = false;
     for (const JsonSpan& p : phases) {
